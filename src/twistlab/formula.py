@@ -21,13 +21,21 @@ __all__ = [
     "Neg", "Iff", "SIff",
     "parse", "pretty", "desugar", "language_of", "free_vars", "substitute",
     "godel_tarski", "belnap_translate", "is_tb_normal", "axioms",
-    "AXIOM_SETS",
+    "AXIOM_SETS", "HAS_SNEG", "HAS_MODAL", "HAS_DIA", "HAS_SUGAR",
 ]
 
 CORE_KINDS = frozenset({"var", "bot", "sneg", "and", "or", "imp", "box", "dia"})
-SUGAR_KINDS = frozenset({"neg", "iff", "siff"})
 BINARY_KINDS = frozenset({"and", "or", "imp", "iff", "siff"})
 UNARY_KINDS = frozenset({"sneg", "neg", "box", "dia"})
+
+# Bits of Formula.flags: which kinds occur anywhere in the tree.
+HAS_SNEG = 1
+HAS_MODAL = 2   # box or dia
+HAS_DIA = 4
+HAS_SUGAR = 8   # neg, iff or siff
+
+_OWN_FLAGS = {"sneg": HAS_SNEG, "box": HAS_MODAL, "dia": HAS_MODAL | HAS_DIA,
+              "neg": HAS_SUGAR, "iff": HAS_SUGAR, "siff": HAS_SUGAR}
 
 
 class LanguageTag(enum.Enum):
@@ -39,14 +47,25 @@ class LanguageTag(enum.Enum):
 
 class Formula:
     """Immutable formula node; instances are interned, so equal formulas
-    are the same object within a process."""
+    are the same object within a process.
 
-    __slots__ = ("kind", "args", "height", "_hash")
+    Besides ``kind`` and ``args`` each node stores, computed once from its
+    arguments when it is interned:
 
-    def __init__(self, kind, args, height, hashv):
+    ``height``  tree height (variables and bot are 0);
+    ``free``    frozenset of the variable names occurring in it;
+    ``flags``   bitmask of HAS_SNEG, HAS_MODAL, HAS_DIA and HAS_SUGAR,
+                set when such a connective occurs anywhere in the tree.
+    """
+
+    __slots__ = ("kind", "args", "height", "free", "flags", "_hash")
+
+    def __init__(self, kind, args, height, free, flags, hashv):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "height", height)
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "_hash", hashv)
 
     def __setattr__(self, name, value):
@@ -77,6 +96,7 @@ class Formula:
 
 
 _interned: dict = {}
+_free_sets: dict = {}  # one shared frozenset per distinct variable set
 
 
 def _make(kind, args):
@@ -85,12 +105,17 @@ def _make(kind, args):
     if cached is not None:
         return cached
     if kind == "var":
-        height = 0
+        height, free, flags = 0, frozenset(args), 0
         hashv = hash(key)
     else:
         height = 1 + max((a.height for a in args), default=-1)
+        free = frozenset().union(*(a.free for a in args))
+        flags = _OWN_FLAGS.get(kind, 0)
+        for a in args:
+            flags |= a.flags
         hashv = hash((kind,) + tuple(a._hash for a in args))
-    node = Formula(kind, args, height, hashv)
+    free = _free_sets.setdefault(free, free)
+    node = Formula(kind, args, height, free, flags, hashv)
     _interned[key] = node
     return node
 
@@ -310,10 +335,7 @@ def pretty(phi: Formula) -> str:
 # Desugaring and language classification
 
 
-def _contains(phi, kinds):
-    if phi.kind in kinds:
-        return True
-    return phi.kind != "var" and any(_contains(a, kinds) for a in phi.args)
+_desugared: dict = {}
 
 
 def desugar(phi: Formula, target: LanguageTag | None = None) -> Formula:
@@ -323,71 +345,61 @@ def desugar(phi: Formula, target: LanguageTag | None = None) -> Formula:
     When ``target`` is None it is inferred from content: a formula with
     strong negation lives in Lsbox (dia primitive), otherwise any modality
     puts it in Lbox (dia is sugar for the boxed double negation).
-    Idempotent.
+    A formula with nothing to rewrite is returned as it is, so desugaring
+    is idempotent and returns the same object the second time.  Results
+    are memoised per (formula, target).
     """
+    flags = phi.flags
     if target is None:
-        if _contains(phi, ("sneg",)):
+        if flags & HAS_SNEG:
             target = LanguageTag.Lsbox
-        elif _contains(phi, ("box", "dia")):
+        elif flags & HAS_MODAL:
             target = LanguageTag.Lbox
         else:
             target = LanguageTag.Li
-    keep_dia = target == LanguageTag.Lsbox
+    rewrite = HAS_SUGAR if target == LanguageTag.Lsbox else HAS_SUGAR | HAS_DIA
+    if not flags & rewrite:
+        return phi
+    key = (phi, target)
+    hit = _desugared.get(key)
+    if hit is None:
+        hit = _desugar_walk(phi, rewrite)
+        _desugared[key] = hit
+    return hit
 
-    def walk(f):
-        kind = f.kind
-        if kind in ("var", "bot"):
-            return f
-        if kind == "neg":
-            return Imp(walk(f.args[0]), Bot)
-        if kind == "iff":
-            a, b = (walk(x) for x in f.args)
-            return And(Imp(a, b), Imp(b, a))
-        if kind == "siff":
-            a, b = (walk(x) for x in f.args)
-            return And(And(Imp(a, b), Imp(b, a)),
-                       And(Imp(SNeg(a), SNeg(b)), Imp(SNeg(b), SNeg(a))))
-        if kind == "dia" and not keep_dia:
-            inner = walk(f.args[0])
-            return Imp(Box(Imp(inner, Bot)), Bot)
-        args = tuple(walk(a) for a in f.args)
-        if args == f.args:
-            return f
-        return _make(kind, args)
 
-    return walk(phi)
+def _desugar_walk(f, rewrite):
+    if not f.flags & rewrite:
+        return f
+    kind = f.kind
+    if kind == "neg":
+        return Imp(_desugar_walk(f.args[0], rewrite), Bot)
+    if kind == "iff":
+        a, b = (_desugar_walk(x, rewrite) for x in f.args)
+        return And(Imp(a, b), Imp(b, a))
+    if kind == "siff":
+        a, b = (_desugar_walk(x, rewrite) for x in f.args)
+        return And(And(Imp(a, b), Imp(b, a)),
+                   And(Imp(SNeg(a), SNeg(b)), Imp(SNeg(b), SNeg(a))))
+    if kind == "dia" and rewrite & HAS_DIA:
+        inner = _desugar_walk(f.args[0], rewrite)
+        return Imp(Box(Imp(inner, Bot)), Bot)
+    return _make(kind, tuple(_desugar_walk(a, rewrite) for a in f.args))
 
 
 def language_of(phi: Formula) -> LanguageTag:
     """Smallest language containing a desugared formula."""
-    if phi.kind in SUGAR_KINDS or any(
-            a.kind in SUGAR_KINDS for a in _subformulas(phi)):
+    flags = phi.flags
+    if flags & HAS_SUGAR:
         raise ValueError("language_of expects a desugared formula")
-    has_sneg = _contains(phi, ("sneg",))
-    has_modal = _contains(phi, ("box", "dia"))
-    if has_sneg and has_modal:
-        return LanguageTag.Lsbox
-    if has_sneg:
-        return LanguageTag.Ls
-    if has_modal:
-        return LanguageTag.Lbox
-    return LanguageTag.Li
-
-
-def _subformulas(phi):
-    yield phi
-    if phi.kind != "var":
-        for a in phi.args:
-            yield from _subformulas(a)
+    if flags & HAS_SNEG:
+        return LanguageTag.Lsbox if flags & HAS_MODAL else LanguageTag.Ls
+    return LanguageTag.Lbox if flags & HAS_MODAL else LanguageTag.Li
 
 
 def free_vars(phi: Formula) -> frozenset:
-    if phi.kind == "var":
-        return frozenset((phi.name,))
-    out = frozenset()
-    for a in phi.args:
-        out |= free_vars(a)
-    return out
+    """Names of the variables occurring in phi."""
+    return phi.free
 
 
 def substitute(phi: Formula, mapping: dict) -> Formula:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "FiniteHeytingAlgebra", "validate_heyting", "neg", "dense_filter",
+    "FiniteHeytingAlgebra", "neg", "dense_filter",
     "filters", "ideals", "is_closed_ideal", "closure_n", "is_boolean",
     "heyting_from_json", "heyting_to_json",
     "enumerate_filters_bruteforce", "enumerate_ideals_bruteforce",
@@ -95,7 +95,7 @@ class FiniteHeytingAlgebra:
         if both.any():
             a, b = map(int, np.argwhere(both)[0])
             return f"order not antisymmetric: {a} <= {b} <= {a}"
-        trans = (le.astype(np.uint8) @ le.astype(np.uint8) > 0) & ~le
+        trans = (le @ le) & ~le                      # boolean product: no wrap
         if trans.any():
             a, c = map(int, np.argwhere(trans)[0])
             return f"order not transitive: {a} <= ... <= {c} but not {a} <= {c}"
@@ -196,10 +196,6 @@ class FiniteHeytingAlgebra:
 
     def __repr__(self):
         return f"FiniteHeytingAlgebra(n={self.n}, bot={self.bot})"
-
-
-def validate_heyting(algebra: FiniteHeytingAlgebra):
-    return algebra.validate()
 
 
 def neg(algebra: FiniteHeytingAlgebra, a: int) -> int:

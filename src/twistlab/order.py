@@ -14,7 +14,7 @@ import numpy as np
 from .heyting import FiniteHeytingAlgebra
 
 __all__ = [
-    "FinitePoset", "validate_poset", "up_sets", "down_sets",
+    "FinitePoset", "validate_poset", "up_sets",
     "heyting_from_poset", "join_irreducible_poset", "enumerate_posets",
     "poset_from_json", "poset_to_json",
 ]
@@ -162,16 +162,6 @@ def up_sets(poset: FinitePoset) -> list:
     """All up-closed subsets as bitmasks, sorted by (popcount, value)."""
     _check(poset)
     found = [s for s in range(1 << poset.n) if poset.is_up_set(s)]
-    found.sort(key=lambda s: (bin(s).count("1"), s))
-    return found
-
-
-def down_sets(poset: FinitePoset) -> list:
-    """All down-closed subsets as bitmasks, sorted by (popcount, value)."""
-    _check(poset)
-    full = (1 << poset.n) - 1
-    found = [s for s in range(1 << poset.n)
-             if poset.is_up_set(full & ~s)]
     found.sort(key=lambda s: (bin(s).count("1"), s))
     return found
 

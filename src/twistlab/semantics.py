@@ -30,6 +30,7 @@ __all__ = [
 
 DEFAULT_CAP = 10_000_000
 _FIRST_CHUNK = 4096
+_BATCH_CELLS = 1 << 20  # valuations x formulas decided by one reduction
 
 
 class LanguageError(ValueError):
@@ -55,30 +56,18 @@ def _prepare(structure, phi):
     """Desugar against the structure's language and check compatibility."""
     if _is_twist(structure):
         target = LanguageTag.Lsbox if structure.modal else LanguageTag.Ls
-        modal_ok, sneg_ok = structure.modal, True
+        unsupported = 0 if structure.modal else fm.HAS_MODAL
     elif isinstance(structure, FiniteTBA):
-        target, modal_ok, sneg_ok = LanguageTag.Lbox, True, False
+        target, unsupported = LanguageTag.Lbox, fm.HAS_SNEG
     else:
-        target, modal_ok, sneg_ok = LanguageTag.Li, False, False
-    psi = _cached_desugar(phi, target)
-    lang = fm.language_of(psi)
-    if not sneg_ok and lang in (LanguageTag.Ls, LanguageTag.Lsbox):
+        target, unsupported = LanguageTag.Li, fm.HAS_SNEG | fm.HAS_MODAL
+    psi = fm.desugar(phi, target)
+    found = psi.flags & unsupported
+    if found & fm.HAS_SNEG:
         raise LanguageError("strong negation needs a twist-structure")
-    if not modal_ok and lang in (LanguageTag.Lbox, LanguageTag.Lsbox):
+    if found:
         raise LanguageError("modal connectives need a TBA (or a twist over one)")
     return psi
-
-
-_desugar_cache: dict = {}
-
-
-def _cached_desugar(phi, target):
-    key = (id(phi), target)
-    hit = _desugar_cache.get(key)
-    if hit is None:
-        hit = fm.desugar(phi, target)
-        _desugar_cache[key] = hit
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +82,9 @@ class _Vec:
     Twist values are (firsts, seconds) array pairs, algebra values single
     index arrays.  Small subformulas are memoised by identity (formulas are
     interned), which turns a corpus sharing subterms into a DAG sweep.
+    It returns values only: is_valid compares one formula's first
+    components with top, and validity_profile decides a batch of formulas
+    with one reduction.
     """
 
     def __init__(self, structure, assign, length):
@@ -241,11 +233,7 @@ class ValidityResult:
 
 
 def _positive(phi):
-    if phi.kind == "sneg":
-        return False
-    if phi.kind == "var":
-        return True
-    return all(_positive(a) for a in phi.args)
+    return not phi.flags & fm.HAS_SNEG
 
 
 def _scan(structure, psi, names, lo, hi, m):
@@ -343,6 +331,11 @@ def validity_profile(structure, formulas, cap: int | None = None,
     Much faster than mapping is_valid when the formulas share subterms:
     each chunk of the valuation space is evaluated once per distinct
     subformula, and formulas refuted early drop out of later chunks.
+    The verdicts of a chunk come from one reduction: each pending
+    formula writes ``first != top`` into its row of a boolean matrix,
+    and one ``any`` over the rows refutes them together.  The matrix is
+    filled in batches of at most _BATCH_CELLS cells, so its memory stays
+    bounded however large the chunk.
     """
     psis = [_prepare(structure, phi) for phi in formulas]
     twist = _is_twist(structure)
@@ -352,35 +345,41 @@ def validity_profile(structure, formulas, cap: int | None = None,
     groups: dict = {}
     for i, psi in enumerate(psis):
         reduced = twist and reduce_positive and _positive(psi)
-        key = (reduced, tuple(sorted(fm.free_vars(psi))))
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((reduced, psi.free), []).append(i)
 
-    for (reduced, names), members in groups.items():
+    for (reduced, free), members in groups.items():
+        names = sorted(free)
         scan_on = structure.base if reduced else structure
-        m = scan_on.n if not _is_twist(scan_on) else scan_on.size
+        pairs = _is_twist(scan_on)
+        m = scan_on.size if pairs else scan_on.n
         total = m ** len(names)
         if total > cap:
             raise CapExceededError(
                 f"valuation space {m}^{len(names)} exceeds cap {cap}")
-        pending = list(members)
+        top = scan_on.base.top if pairs else scan_on.top
+        pending = members
         for lo, hi in _chunks(total):
             cols = _var_grid(m, len(names), lo, hi)
-            if _is_twist(scan_on):
+            if pairs:
                 f, s = scan_on.firsts, scan_on.seconds
                 assign = {nm: (f[c], s[c]) for nm, c in zip(names, cols)}
-                top = scan_on.base.top
             else:
                 assign = {nm: c.astype(np.intp) for nm, c in zip(names, cols)}
-                top = scan_on.top
             ev = _Vec(scan_on, assign, hi - lo)
+            step = max(1, _BATCH_CELLS // (hi - lo))
+            bad = np.empty((min(step, len(pending)), hi - lo), dtype=bool)
             still = []
-            for i in pending:
-                value = ev.eval(psis[i])
-                first = value[0] if _is_twist(scan_on) else value
-                if (first == top).all():
-                    still.append(i)
-                else:
-                    out[i] = False
+            for start in range(0, len(pending), step):
+                batch = pending[start:start + step]
+                rows = bad[:len(batch)]
+                for row, i in zip(rows, batch):
+                    value = ev.eval(psis[i])
+                    np.not_equal(value[0] if pairs else value, top, out=row)
+                for i, refuted in zip(batch, rows.any(axis=1).tolist()):
+                    if refuted:
+                        out[i] = False
+                    else:
+                        still.append(i)
             pending = still
             if not pending:
                 break

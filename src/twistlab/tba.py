@@ -15,7 +15,7 @@ from .heyting import FiniteHeytingAlgebra, is_boolean
 from .order import FinitePoset, join_irreducible_poset
 
 __all__ = [
-    "FiniteTBA", "validate_tba", "diamond", "open_elements", "open_algebra",
+    "FiniteTBA", "diamond", "open_elements", "open_algebra",
     "powerset_tba", "s_of", "open_filters", "closed_ideals",
     "delta_map", "rho_map", "sigma_map", "satisfies_grz",
     "tba_from_json", "tba_to_json",
@@ -84,10 +84,6 @@ class FiniteTBA(FiniteHeytingAlgebra):
 
     def __repr__(self):
         return f"FiniteTBA(n={self.n}, bot={self.bot})"
-
-
-def validate_tba(algebra: FiniteTBA):
-    return algebra.validate()
 
 
 def diamond(algebra: FiniteTBA, a: int) -> int:
@@ -260,7 +256,8 @@ def delta_map(algebra: FiniteTBA, nabla) -> frozenset:
     if not _is_open_filter(algebra, nabla):
         raise ValueError("delta_map expects an open filter")
     out = nabla & open_elements(algebra)
-    assert rho_map(algebra, out) == nabla
+    if rho_map(algebra, out) != nabla:
+        raise AssertionError("rho_map does not invert delta_map")
     return out
 
 
@@ -272,7 +269,8 @@ def rho_map(algebra: FiniteTBA, nabla_g) -> frozenset:
         raise ValueError("rho_map expects a filter of the open algebra")
     out = frozenset(a for a in range(algebra.n)
                     if int(algebra.box[a]) in nabla_g)
-    assert out & open_elements(algebra) == nabla_g
+    if out & open_elements(algebra) != nabla_g:
+        raise AssertionError("rho_map image does not restrict to its input")
     return out
 
 
@@ -288,7 +286,8 @@ def sigma_map(algebra: FiniteTBA, delta) -> frozenset:
         d = int(algebra.dia_table[y])
         out.update(np.flatnonzero(algebra.le[:, d]).tolist())
     out = frozenset(out)
-    assert _is_closed_ideal_tba(algebra, out)
+    if not _is_closed_ideal_tba(algebra, out):
+        raise AssertionError("sigma_map image is not a closed ideal")
     return out
 
 

@@ -18,9 +18,6 @@ __all__ = [
     "nabla_of", "delta_of",
 ]
 
-OPS = ("and", "or", "imp", "snot", "bot", "box", "dia")
-
-
 class TwistStructure:
     """Carrier and invariants of a twist-structure; construct via tw()."""
 
@@ -55,9 +52,6 @@ class TwistStructure:
         if not len(hits):
             raise ValueError(f"pair {pair} not in carrier")
         return int(hits[0])
-
-    def apply(self, op: str, *args):
-        return twist_apply(self, op, *args)
 
     def __eq__(self, other):
         return (isinstance(other, TwistStructure)

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistlab import formula as fm
-from twistlab.formula import (And, Bot, Box, Dia, Iff, Imp, Neg, Or, SNeg,
-                              Var)
+from twistlab import semantics
+from twistlab.formula import (And, Bot, Box, Dia, Iff, Imp, Neg, Or, SIff,
+                              SNeg, Var)
 from twistlab.semantics import enumerate_formulas
 
 p, q = Var("p"), Var("q")
@@ -185,3 +188,92 @@ def test_kleene_axioms_shapes():
         fm.desugar(fm.parse("!!(p & ~p) -> (q | ~q)"))
     assert fm.desugar(fm.CLOSED_IDEAL_AXIOM) == \
         fm.desugar(fm.parse("!!(p & ~p) <-> (p & ~p)"))
+
+
+# ---------------------------------------------------------------------------
+# The analyses stored at interning, against plain recursive oracles
+
+_ATOMS = st.sampled_from([p, q, Var("r"), Bot])
+_UNARY = st.sampled_from([SNeg, Neg, Box, Dia])
+_BINARY = st.sampled_from([And, Or, Imp, Iff, SIff])
+_FORMULAS = st.recursive(_ATOMS, lambda sub: st.one_of(
+    st.builds(lambda op, a: op(a), _UNARY, sub),
+    st.builds(lambda op, a, b: op(a, b), _BINARY, sub, sub)), max_leaves=12)
+_TARGETS = [None, *fm.LanguageTag]
+
+
+def _kinds(phi):
+    if phi.kind == "var":
+        return {"var"}
+    return {phi.kind}.union(*(_kinds(a) for a in phi.args))
+
+
+def _oracle_free_vars(phi):
+    if phi.kind == "var":
+        return frozenset((phi.name,))
+    return frozenset().union(*(_oracle_free_vars(a) for a in phi.args))
+
+
+def _oracle_language(phi):
+    kinds = _kinds(phi)
+    if kinds & {"neg", "iff", "siff"}:
+        return None
+    sneg, modal = "sneg" in kinds, bool(kinds & {"box", "dia"})
+    return {(False, False): fm.LanguageTag.Li,
+            (True, False): fm.LanguageTag.Ls,
+            (False, True): fm.LanguageTag.Lbox,
+            (True, True): fm.LanguageTag.Lsbox}[sneg, modal]
+
+
+def _oracle_desugar(phi, target):
+    kinds = _kinds(phi)
+    if target is None:
+        target = (fm.LanguageTag.Lsbox if "sneg" in kinds
+                  else fm.LanguageTag.Lbox if kinds & {"box", "dia"}
+                  else fm.LanguageTag.Li)
+
+    def walk(f):
+        kind = f.kind
+        if kind in ("var", "bot"):
+            return f
+        args = [walk(a) for a in f.args]
+        if kind == "neg":
+            return Imp(args[0], Bot)
+        if kind == "iff":
+            a, b = args
+            return And(Imp(a, b), Imp(b, a))
+        if kind == "siff":
+            a, b = args
+            return And(And(Imp(a, b), Imp(b, a)),
+                       And(Imp(SNeg(a), SNeg(b)), Imp(SNeg(b), SNeg(a))))
+        if kind == "dia" and target != fm.LanguageTag.Lsbox:
+            return Imp(Box(Imp(args[0], Bot)), Bot)
+        return {"sneg": SNeg, "box": Box, "dia": Dia, "and": And, "or": Or,
+                "imp": Imp}[kind](*args)
+
+    return walk(phi)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_FORMULAS)
+def test_stored_analyses_match_oracles(phi):
+    kinds = _kinds(phi)
+    assert fm.free_vars(phi) == _oracle_free_vars(phi)
+    assert bool(phi.flags & fm.HAS_SNEG) == ("sneg" in kinds)
+    assert bool(phi.flags & fm.HAS_MODAL) == bool(kinds & {"box", "dia"})
+    assert bool(phi.flags & fm.HAS_DIA) == ("dia" in kinds)
+    assert bool(phi.flags & fm.HAS_SUGAR) == \
+        bool(kinds & {"neg", "iff", "siff"})
+    want = _oracle_language(phi)
+    if want is None:
+        with pytest.raises(ValueError):
+            fm.language_of(phi)
+    else:
+        assert fm.language_of(phi) == want
+    for target in _TARGETS:
+        psi = fm.desugar(phi, target)
+        assert psi is _oracle_desugar(phi, target)
+        assert fm.desugar(psi, target) is psi
+        assert fm.language_of(psi) == _oracle_language(psi)
+        assert fm.free_vars(psi) == _oracle_free_vars(psi)
+        assert semantics._positive(psi) == ("sneg" not in _kinds(psi))

@@ -24,6 +24,23 @@ def test_validate_catches_broken_imp(three):
     assert report is not None and "residuation" in report
 
 
+def test_validate_counts_no_paths_modulo_256():
+    """The order a <= b_i <= c for 256 middle elements b_i, without
+    a <= c: the one transitivity violation has exactly 256 paths, which
+    a path count in uint8 wraps to 0."""
+    n = 258
+    a, c = 0, 1
+    meet = np.zeros((n, n), dtype=np.intp)  # x meet y == x iff x <= y
+    for x in range(n):
+        for y in range(n):
+            below = x == y or x == a and y != c or x not in (a, c) and y == c
+            meet[x, y] = x if below else (c if x == a else a)
+    zeros = np.zeros((n, n), dtype=np.intp)
+    report = FiniteHeytingAlgebra(meet, zeros, zeros, bot=a).validate()
+    assert report == ("order not transitive: "
+                      f"{a} <= ... <= {c} but not {a} <= {c}")
+
+
 def test_validate_one_element_algebra():
     one = FiniteHeytingAlgebra([[0]], [[0]], [[0]], bot=0)
     assert one.validate() is None

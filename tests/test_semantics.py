@@ -105,8 +105,53 @@ def test_is_valid_jobs_deterministic(kleene_twist):
 
 def test_validity_profile_matches_individual(kleene_twist):
     corpus = default_corpus(150)
-    profile = validity_profile(kleene_twist, corpus)
-    assert profile == [is_valid(kleene_twist, phi).valid for phi in corpus]
+    for reduce in (True, False):
+        profile = validity_profile(kleene_twist, corpus,
+                                   reduce_positive=reduce)
+        assert profile == [is_valid(kleene_twist, phi,
+                                    reduce_positive=reduce).valid
+                           for phi in corpus]
+
+
+@pytest.mark.parametrize("reduce_positive", [True, False])
+def test_validity_profile_large_grid(bool4, reduce_positive):
+    """Four-variable formulas over the 16 pairs of full_twist(bool4): the
+    65536-row grid splits into a 4096-row first chunk, where most
+    formulas are refuted and drop out, and a 61440-row chunk whose
+    pending formulas exceed the cell bound of one reduction, so their
+    verdicts come from several batches."""
+    structure = twist.full_twist(bool4)
+    s = Var("s")
+    r = Var("r")
+    maps = [{"p": Imp(p, r), "q": Or(q, SNeg(s))},
+            {"p": Imp(And(p, q), Or(r, SNeg(s))), "q": Or(q, s),
+             "r": And(p, SNeg(r))},
+            {"p": Or(SNeg(p), And(q, r)), "q": Imp(s, p),
+             "r": SNeg(And(r, s))},
+            {"p": And(Imp(p, SNeg(q)), Or(r, s)), "q": SNeg(q),
+             "r": Imp(r, p)}]
+    sources = [enumerate_formulas("Ls", 2, 2, 400)] + \
+        [[fm.desugar(phi) for phi in fm.axioms("N4BOT")]] * 3
+    corpus = [fm.substitute(phi, mapping)
+              for mapping, source in zip(maps, sources) for phi in source]
+    corpus = [phi for phi in corpus if len(fm.free_vars(phi)) == 4]
+    results = [is_valid(structure, phi, reduce_positive=reduce_positive)
+               for phi in corpus]
+    first_pair = structure.pairs[0]
+    # refuted after the first chunk, or valid: both reach the second one
+    late = [res for res in results
+            if res.valid or res.witness["p"] != first_pair]
+    rows = structure.size ** 4
+    assert rows > semantics._FIRST_CHUNK
+    assert len(late) < len(results)
+    assert (rows - semantics._FIRST_CHUNK) * len(late) > \
+        2 * semantics._BATCH_CELLS
+    want = [res.valid for res in results]
+    # both orders, so refuted formulas sit at batch edges in one of them
+    assert validity_profile(structure, corpus,
+                            reduce_positive=reduce_positive) == want
+    assert validity_profile(structure, corpus[::-1],
+                            reduce_positive=reduce_positive) == want[::-1]
 
 
 def test_cap_guard(kleene_twist):
