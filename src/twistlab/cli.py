@@ -51,6 +51,8 @@ def _load_json(path):
 
 
 def _structure_from_data(data, base_dir="."):
+    if not isinstance(data, dict):
+        raise ValueError("a structure must be a JSON object")
     kind = data.get("type")
     if kind == "poset":
         return poset_from_json(data)
@@ -83,21 +85,16 @@ def cmd_validate(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        kind = data.get("type")
-        if kind == "poset":
-            report = validate_poset(poset_from_json(data))
-        elif kind == "heyting":
-            report = heyting_from_json(data).validate()
-        elif kind == "tba":
-            report = tba_from_json(data).validate()
-        elif kind == "twist":
+        if isinstance(data, dict) and data.get("type") == "twist":
             try:
                 _structure_from_data(data, os.path.dirname(args.path) or ".")
                 report = None
             except ValueError as exc:
                 report = str(exc)
         else:
-            raise ValueError(f"unknown structure type {kind!r}")
+            structure = _structure_from_data(data)
+            report = validate_poset(structure) \
+                if isinstance(structure, FinitePoset) else structure.validate()
     except (KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -171,8 +168,9 @@ def cmd_translate(args):
 
 def cmd_companion(args):
     try:
-        data = _load_json(args.path)
-        algebra = heyting_from_json(data)
+        algebra = _structure_from_data(_load_json(args.path))
+        if type(algebra) is not FiniteHeytingAlgebra:
+            raise ValueError("expected a heyting object")
         algebra.check()
         nabla = frozenset(int(x) for x in args.nabla.split(","))
         delta = frozenset(int(x) for x in args.delta.split(","))

@@ -22,7 +22,7 @@ from .heyting import FiniteHeytingAlgebra, closure_n, dense_filter
 from .order import enumerate_posets, heyting_from_poset
 from .tba import FiniteTBA, open_elements, open_filters, closed_ideals, \
     powerset_tba, rho_map, satisfies_grz, sigma_map, s_of
-from .twist import TwistStructure, tw
+from .twist import TwistStructure, _closure_failure, _op_tables, tw
 
 __all__ = [
     "CompanionInstance", "companion_structure", "is_form_sharp",
@@ -410,13 +410,6 @@ class PipelineSweepReport:
         }
 
 
-def _g2_arrays(structure):
-    base = structure.base
-    mask = base.open_mask()
-    keep = mask[structure.firsts] & mask[structure.seconds]
-    return structure.firsts[keep], structure.seconds[keep]
-
-
 def _check_open_pair_lemmas(report, label, instance):
     """Closure and invariant facts about the open pairs of one instance."""
     structure = instance.twist
@@ -427,16 +420,16 @@ def _check_open_pair_lemmas(report, label, instance):
     # every a meets box(not a) in bottom
     if not (base.meet[rng, box[neg_t]] == base.bot).all():
         report.fail("l311_1", label)
-    f, s = _g2_arrays(structure)
+    f, s = openpairs._open_pairs(structure)
     g2_member = np.zeros((base.n, base.n), dtype=bool)
     g2_member[f, s] = True
     opens = frozenset(np.flatnonzero(base.open_mask()).tolist())
     gam = frozenset(f.tolist())
     if not gam <= opens:
         report.fail("l311_2", label)
-    f1, s1, f2, s2 = f[:, None], s[:, None], f[None, :], s[None, :]
-    closed = (g2_member[base.join[f1, f2], base.meet[s1, s2]].all()
-              and g2_member[base.meet[f1, f2], base.join[s1, s2]].all()
+    lattice = {kind: table for kind, table in _op_tables(base).items()
+               if kind in ("and", "or")}
+    closed = (_closure_failure(g2_member, f, s, lattice) is None
               and g2_member[s, f].all()
               and g2_member[base.bot, base.top])
     if not closed:

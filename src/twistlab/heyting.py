@@ -17,12 +17,17 @@ __all__ = [
 ]
 
 
-def _table(data, n):
-    arr = np.asarray(data, dtype=np.intp)
-    if arr.shape != (n, n):
-        raise ValueError(f"table must be {n}x{n}, got {arr.shape}")
-    if arr.min() < 0 or arr.max() >= n:
+def _table(data, shape):
+    """Read-only index array of the given shape with entries in
+    range(shape[0]); non-integer entries are refused, not truncated."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "iu":
+        raise ValueError("table entries must be integers")
+    if arr.shape != shape:
+        raise ValueError(f"table must have shape {shape}, got {arr.shape}")
+    if arr.min() < 0 or arr.max() >= shape[0]:
         raise ValueError("table entry out of element range")
+    arr = arr.astype(np.intp, copy=False)
     arr.setflags(write=False)
     return arr
 
@@ -31,11 +36,14 @@ class FiniteHeytingAlgebra:
     """Heyting algebra given by meet/join/implication tables."""
 
     def __init__(self, meet, join, imp, bot: int):
-        n = len(meet)
+        meet = np.asarray(meet)
+        n = len(meet) if meet.ndim else 0
         self.n = n
-        self.meet = _table(meet, n)
-        self.join = _table(join, n)
-        self.imp = _table(imp, n)
+        self.meet = _table(meet, (n, n))
+        self.join = _table(join, (n, n))
+        self.imp = _table(imp, (n, n))
+        if not isinstance(bot, (int, np.integer)) or isinstance(bot, bool):
+            raise ValueError("bot must be an integer index")
         if not 0 <= bot < n:
             raise ValueError("bot index out of range")
         self.bot = int(bot)
@@ -152,7 +160,7 @@ class FiniteHeytingAlgebra:
 
     def is_filter(self, subset) -> bool:
         subset = frozenset(subset)
-        if not subset:
+        if not subset or not subset <= frozenset(range(self.n)):
             return False
         for a in subset:
             if not self.upset(a) <= subset:
@@ -163,7 +171,7 @@ class FiniteHeytingAlgebra:
 
     def is_ideal(self, subset) -> bool:
         subset = frozenset(subset)
-        if not subset:
+        if not subset or not subset <= frozenset(range(self.n)):
             return False
         for a in subset:
             if not self.downset(a) <= subset:

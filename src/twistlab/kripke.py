@@ -14,7 +14,7 @@ import numpy as np
 from . import formula as fm
 from .formula import Formula, LanguageTag
 from .order import FinitePoset, enumerate_posets, poset_to_json
-from .semantics import CapExceededError, LanguageError, _resolve_cap
+from .semantics import LanguageError, _grid_size, _var_grid
 
 __all__ = [
     "KripkeModel", "forces", "FrameResult", "frame_valid",
@@ -40,6 +40,15 @@ class KripkeModel:
             "valuation": {name: sorted(worlds)
                           for name, worlds in self.valuation.items()},
         }
+
+
+def _frame_grid(frame, names, cap):
+    """Every valuation of the names on the frame, as one world bitmask
+    column per name, in lexicographic order."""
+    m = 1 << frame.n
+    total = _grid_size(m, len(names), cap)
+    return dict(zip(names, _var_grid(m, len(names),
+                                     np.arange(total, dtype=np.int64))))
 
 
 def _modal_core(phi):
@@ -142,31 +151,18 @@ def frame_valid(frame: FinitePoset, phi: Formula,
     """Validity over every model on the frame; refutations report the
     least valuation (variables sorted, subsets by bitmask) and world."""
     psi = _modal_core(phi)
-    names = sorted(fm.free_vars(psi))
-    n, k = frame.n, len(names)
-    total = 1 << (n * k)
-    if total > _resolve_cap(cap):
-        raise CapExceededError(
-            f"valuation space 2^({n}*{k}) exceeds the configured cap")
-    full = (1 << n) - 1
-    idx = np.arange(total, dtype=np.int64)
-    assign = {}
-    for i, name in enumerate(names):
-        shift = n * (k - 1 - i)
-        assign[name] = (idx >> shift) & full
+    assign = _frame_grid(frame, sorted(fm.free_vars(psi)), cap)
     ev = _FrameVec(frame, assign)
     out = ev.eval(psi)
-    bad = np.flatnonzero(out != full)
+    bad = np.flatnonzero(out != ev.full)
     if not len(bad):
         return FrameResult(True)
     index = int(bad[0])
-    truth = int(out[index])
-    world = ((truth ^ full) & -(truth ^ full)).bit_length() - 1
-    valuation = {}
-    for i, name in enumerate(names):
-        shift = n * (k - 1 - i)
-        mask = (index >> shift) & full
-        valuation[name] = frozenset(w for w in range(n) if mask >> w & 1)
+    false_at = int(out[index]) ^ ev.full
+    world = (false_at & -false_at).bit_length() - 1
+    valuation = {name: frozenset(w for w in range(frame.n)
+                                 if int(col[index]) >> w & 1)
+                 for name, col in assign.items()}
     return FrameResult(False, KripkeModel(frame, valuation), world)
 
 
@@ -177,17 +173,8 @@ def frame_validity_profile(frame: FinitePoset, formulas,
     psis = [_modal_core(phi) for phi in formulas]
     names = sorted(set().union(*(fm.free_vars(psi) for psi in psis))
                    if psis else ())
-    n, k = frame.n, len(names)
-    total = 1 << (n * k)
-    if total > _resolve_cap(cap):
-        raise CapExceededError(
-            f"valuation space 2^({n}*{k}) exceeds the configured cap")
-    full = (1 << n) - 1
-    idx = np.arange(total, dtype=np.int64)
-    assign = {name: (idx >> (n * (k - 1 - i))) & full
-              for i, name in enumerate(names)}
-    ev = _FrameVec(frame, assign)
-    return [bool((ev.eval(psi) == full).all()) for psi in psis]
+    ev = _FrameVec(frame, _frame_grid(frame, names, cap))
+    return [bool((ev.eval(psi) == ev.full).all()) for psi in psis]
 
 
 def grz_refutation_search(phi: Formula, max_worlds: int,
@@ -236,16 +223,7 @@ def lemma_323_premise_vacuous(frame: FinitePoset,
     maximal world, dia phi and phi agree for the relevant refutands.
     """
     psi = _modal_core(_STRONG_PREMISE)
-    names = sorted(fm.free_vars(psi))
-    n, k = frame.n, len(names)
-    total = 1 << (n * k)
-    if total > _resolve_cap(cap):
-        raise CapExceededError("valuation space exceeds the configured cap")
-    full = (1 << n) - 1
-    idx = np.arange(total, dtype=np.int64)
-    assign = {name: (idx >> (n * (k - 1 - i))) & full
-              for i, name in enumerate(names)}
-    ev = _FrameVec(frame, assign)
+    ev = _FrameVec(frame, _frame_grid(frame, sorted(fm.free_vars(psi)), cap))
     if ev.eval(psi).any():
         return False
     maximal = frame.maximal_mask()

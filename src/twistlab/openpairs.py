@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra
-from .tba import open_elements
-from .twist import TwistStructure, tw
+from .tba import _boxed_subalgebra, open_elements
+from .twist import TwistStructure, _apply, _op_tables, tw
 
 __all__ = [
     "g2", "gamma", "lambda_set", "nabla_g", "delta_g",
@@ -28,25 +27,23 @@ def _require_modal(structure):
         raise ValueError("this operation needs a twist over a TBA")
 
 
-def _open_pair_mask(structure):
-    base = structure.base
-    om = base.open_mask()
-    return om[structure.firsts] & om[structure.seconds]
+def _open_pairs(structure):
+    """First and second components of the open pairs, in carrier order."""
+    _require_modal(structure)
+    opens = structure.base.open_mask()
+    keep = opens[structure.firsts] & opens[structure.seconds]
+    return structure.firsts[keep], structure.seconds[keep]
 
 
 def g2(structure: TwistStructure) -> list:
     """Carrier pairs whose components are both open, in carrier order."""
-    _require_modal(structure)
-    mask = _open_pair_mask(structure)
-    return list(zip(structure.firsts[mask].tolist(),
-                    structure.seconds[mask].tolist()))
+    f, s = _open_pairs(structure)
+    return list(zip(f.tolist(), s.tolist()))
 
 
 def gamma(structure: TwistStructure) -> frozenset:
     """First components of the open pairs."""
-    _require_modal(structure)
-    mask = _open_pair_mask(structure)
-    return frozenset(structure.firsts[mask].tolist())
+    return frozenset(_open_pairs(structure)[0].tolist())
 
 
 def lambda_set(base, nabla) -> frozenset:
@@ -76,10 +73,8 @@ def lambda_set(base, nabla) -> frozenset:
 def nabla_g(structure: TwistStructure) -> frozenset:
     """Joins over the open pairs; must coincide with the filter invariant
     restricted to the opens, to gamma, and to the lambda set."""
-    _require_modal(structure)
     base = structure.base
-    mask = _open_pair_mask(structure)
-    joined = base.join[structure.firsts[mask], structure.seconds[mask]]
+    joined = base.join[_open_pairs(structure)]
     by_def = frozenset(np.unique(joined).tolist())
     opens = open_elements(base)
     by_opens = structure.nabla & opens
@@ -93,10 +88,8 @@ def nabla_g(structure: TwistStructure) -> frozenset:
 def delta_g(structure: TwistStructure) -> frozenset:
     """Meets over the open pairs; must coincide with the ideal invariant
     restricted to the opens and to gamma."""
-    _require_modal(structure)
     base = structure.base
-    mask = _open_pair_mask(structure)
-    met = base.meet[structure.firsts[mask], structure.seconds[mask]]
+    met = base.meet[_open_pairs(structure)]
     by_def = frozenset(np.unique(met).tolist())
     by_opens = structure.delta & open_elements(base)
     by_gamma = structure.delta & gamma(structure)
@@ -109,16 +102,13 @@ def gamma_imp_closure_equiv(structure: TwistStructure):
     """Two independently computed sides of one equivalence: gamma inside
     the lambda set, and the open pairs being closed under the boxed
     implication."""
-    _require_modal(structure)
     base = structure.base
     lhs = gamma(structure) <= lambda_set(base, structure.nabla)
 
-    mask = _open_pair_mask(structure)
-    f = structure.firsts[mask]
-    s = structure.seconds[mask]
-    rf = base.box[base.imp[f[:, None], f[None, :]]]
-    rs = base.meet[f[:, None], s[None, :]]
-    rhs = bool(structure.member[rf, rs].all())
+    f, s = _open_pairs(structure)
+    rf, rs = _apply(_op_tables(base), "imp", (f[:, None], s[:, None]),
+                    (f[None, :], s[None, :]))
+    rhs = bool(structure.member[base.box[rf], rs].all())
     return lhs, rhs
 
 
@@ -150,16 +140,7 @@ def open_pairs_algebra(structure: TwistStructure) -> TwistStructure:
 
     embed = sorted(gam)
     pos = {b: i for i, b in enumerate(embed)}
-    idx = np.asarray(embed, dtype=np.intp)
-    meet = np.array([[pos[int(base.meet[a, b])] for b in idx] for a in idx],
-                    dtype=np.intp)
-    join = np.array([[pos[int(base.join[a, b])] for b in idx] for a in idx],
-                    dtype=np.intp)
-    imp = np.array(
-        [[pos[int(base.box[base.imp[a, b]])] for b in idx] for a in idx],
-        dtype=np.intp)
-    sub = FiniteHeytingAlgebra(meet, join, imp, bot=pos[base.bot]).check()
-
+    sub = _boxed_subalgebra(base, embed)
     nabla = frozenset(pos[a] for a in nabla_g(structure))
     delta = frozenset(pos[a] for a in delta_g(structure))
     result = tw(sub, nabla, delta)

@@ -19,7 +19,7 @@ import numpy as np
 from . import formula as fm
 from .formula import Formula, LanguageTag
 from .tba import FiniteTBA
-from .twist import TwistStructure
+from .twist import TwistStructure, _op_tables
 
 __all__ = [
     "LanguageError", "CapExceededError", "ValidityResult",
@@ -41,11 +41,18 @@ class CapExceededError(RuntimeError):
     """Valuation space larger than the configured cap."""
 
 
-def _resolve_cap(cap):
-    if cap is not None:
-        return cap
-    env = os.environ.get("TWISTLAB_VALUATION_CAP")
-    return int(env) if env else DEFAULT_CAP
+def _grid_size(m, k, cap):
+    """Rows of the grid of k variables over m values, refused above the
+    cap (default from TWISTLAB_VALUATION_CAP or DEFAULT_CAP)."""
+    if cap is None:
+        env = os.environ.get("TWISTLAB_VALUATION_CAP")
+        cap = int(env) if env else DEFAULT_CAP
+    total = m ** k
+    if total > cap:
+        raise CapExceededError(
+            f"valuation space {m}^{k} exceeds cap {cap}; raise "
+            f"TWISTLAB_VALUATION_CAP to override")
+    return total
 
 
 def _is_twist(structure):
@@ -79,8 +86,9 @@ _MEMO_HEIGHT = 3
 class _Vec:
     """Evaluates formulas over parallel arrays of valuations.
 
-    Twist values are (firsts, seconds) array pairs, algebra values single
-    index arrays.  Small subformulas are memoised by identity (formulas are
+    Values are (firsts, seconds) array pairs; over an algebra the second
+    component is None, since the first components follow the algebra's own
+    tables.  Small subformulas are memoised by identity (formulas are
     interned), which turns a corpus sharing subterms into a DAG sweep.
     It returns values only: is_valid compares one formula's first
     components with top, and validity_profile decides a batch of formulas
@@ -90,6 +98,7 @@ class _Vec:
     def __init__(self, structure, assign, length):
         self.twist = _is_twist(structure)
         self.base = structure.base if self.twist else structure
+        self.ops = _op_tables(self.base)
         self.assign = assign
         self.length = length
         self.memo = {}
@@ -105,59 +114,53 @@ class _Vec:
         return self._compute(phi)
 
     def _compute(self, phi):
-        base = self.base
+        # the table is read inline: calling twist._apply costs a call a node
         kind = phi.kind
         if kind == "var":
             try:
                 return self.assign[phi.name]
             except KeyError:
                 raise KeyError(f"unbound variable {phi.name!r}") from None
-        if self.twist:
-            if kind == "bot":
-                return (np.full(self.length, base.bot, dtype=np.intp),
-                        np.full(self.length, base.top, dtype=np.intp))
-            if kind == "sneg":
-                f, s = self.eval(phi.args[0])
-                return (s, f)
-            if kind == "box":
-                f, s = self.eval(phi.args[0])
-                return (base.box[f], base.dia_table[s])
-            if kind == "dia":
-                f, s = self.eval(phi.args[0])
-                return (base.dia_table[f], base.box[s])
-            f1, s1 = self.eval(phi.args[0])
-            f2, s2 = self.eval(phi.args[1])
-            if kind == "and":
-                return (base.meet[f1, f2], base.join[s1, s2])
-            if kind == "or":
-                return (base.join[f1, f2], base.meet[s1, s2])
-            if kind == "imp":
-                return (base.imp[f1, f2], base.meet[f1, s2])
-            raise LanguageError(f"cannot interpret {kind!r} in a twist")
         if kind == "bot":
-            return np.full(self.length, base.bot, dtype=np.intp)
-        if kind == "box":
-            return base.box[self.eval(phi.args[0])]
-        if kind == "dia":
-            return base.dia_table[self.eval(phi.args[0])]
-        a = self.eval(phi.args[0])
-        if kind == "and":
-            return base.meet[a, self.eval(phi.args[1])]
-        if kind == "or":
-            return base.join[a, self.eval(phi.args[1])]
-        if kind == "imp":
-            return base.imp[a, self.eval(phi.args[1])]
-        raise LanguageError(f"cannot interpret {kind!r} in an algebra")
+            base = self.base
+            return (np.full(self.length, base.bot, dtype=np.intp),
+                    np.full(self.length, base.top, dtype=np.intp)
+                    if self.twist else None)
+        x = self.eval(phi.args[0])
+        if kind == "sneg":
+            return (x[1], x[0])
+        try:
+            first, second, side = self.ops[kind]
+        except KeyError:
+            raise LanguageError(f"cannot interpret {kind!r} here") from None
+        if len(phi.args) == 1:
+            return (first[x[0]], second[x[side]] if self.twist else None)
+        y = self.eval(phi.args[1])
+        return (first[x[0], y[0]],
+                second[x[side], y[1]] if self.twist else None)
 
 
-def _var_grid(m, k, lo, hi):
-    """Columns of the lexicographic product enumeration, rows lo..hi-1."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    cols = []
-    for i in range(k):
-        stride = m ** (k - 1 - i)
-        cols.append((idx // stride) % m)
-    return cols
+def _var_grid(m, k, rows):
+    """Columns of the lexicographic enumeration of k variables over m
+    values, at ``rows``: an index array, or one index for one valuation."""
+    return [rows // m ** (k - 1 - i) % m for i in range(k)]
+
+
+def _width(structure):
+    """Values a variable ranges over: carrier pairs or elements."""
+    return structure.size if _is_twist(structure) else structure.n
+
+
+def _grid_vec(structure, names, lo, hi):
+    """A _Vec over rows lo..hi-1 of the lexicographic valuation grid."""
+    cols = _var_grid(_width(structure), len(names),
+                     np.arange(lo, hi, dtype=np.int64))
+    if _is_twist(structure):
+        f, s = structure.firsts, structure.seconds
+        assign = {name: (f[c], s[c]) for name, c in zip(names, cols)}
+    else:
+        assign = {name: (c, None) for name, c in zip(names, cols)}
+    return _Vec(structure, assign, hi - lo)
 
 
 def _chunks(total):
@@ -168,14 +171,6 @@ def _chunks(total):
         yield lo, hi
         lo = hi
         step = 1 << 20
-
-
-def _decode_index(index, m, k):
-    out = []
-    for i in range(k):
-        stride = m ** (k - 1 - i)
-        out.append((index // stride) % m)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +197,11 @@ def evaluate(structure, phi: Formula, valuation: dict):
             value = int(value)
             if not 0 <= value < structure.n:
                 raise ValueError(f"element {value} out of range")
-            assign[name] = np.array([value], dtype=np.intp)
-    ev = _Vec(structure, assign, 1)
-    out = ev.eval(psi)
+            assign[name] = (np.array([value], dtype=np.intp), None)
+    first, second = _Vec(structure, assign, 1).eval(psi)
     if twist:
-        return (int(out[0][0]), int(out[1][0]))
-    return int(out[0])
+        return (int(first[0]), int(second[0]))
+    return int(first[0])
 
 
 # ---------------------------------------------------------------------------
@@ -236,32 +230,21 @@ def _positive(phi):
     return not phi.flags & fm.HAS_SNEG
 
 
-def _scan(structure, psi, names, lo, hi, m):
-    """Evaluate psi on grid rows lo..hi-1; return (all_ok, first_bad|None)."""
-    twist = _is_twist(structure)
-    cols = _var_grid(m, len(names), lo, hi)
-    if twist:
-        f, s = structure.firsts, structure.seconds
-        assign = {name: (f[col], s[col]) for name, col in zip(names, cols)}
-        top = structure.base.top
-    else:
-        assign = {name: col.astype(np.intp) for name, col in zip(names, cols)}
-        top = structure.top
-    ev = _Vec(structure, assign, hi - lo)
-    out = ev.eval(psi)
-    first = out[0] if twist else out
-    ok = first == top
+def _scan(structure, psi, names, lo, hi):
+    """Evaluate psi on grid rows lo..hi-1; return the first refuting row
+    or None."""
+    ev = _grid_vec(structure, names, lo, hi)
+    ok = ev.eval(psi)[0] == ev.base.top
     if ok.all():
-        return True, None
-    return False, lo + int(np.argmin(ok))
+        return None
+    return lo + int(np.argmin(ok))
 
 
 def _scan_job(args):
-    structure, psi, names, lo, hi, m = args
+    structure, psi, names, lo, hi = args
     for clo in range(lo, hi, 1 << 20):
-        chi = min(hi, clo + (1 << 20))
-        valid, bad = _scan(structure, psi, names, clo, chi, m)
-        if not valid:
+        bad = _scan(structure, psi, names, clo, min(hi, clo + (1 << 20)))
+        if bad is not None:
             return bad
     return None
 
@@ -282,40 +265,32 @@ def is_valid(structure, phi: Formula, cap: int | None = None,
 
     reduced = twist and reduce_positive and _positive(psi)
     scan_on = structure.base if reduced else structure
-    m = scan_on.n if not _is_twist(scan_on) else scan_on.size
-    total = m ** k
-    cap = _resolve_cap(cap)
-    if total > cap:
-        raise CapExceededError(
-            f"valuation space {m}^{k} exceeds cap {cap}; raise "
-            f"TWISTLAB_VALUATION_CAP to override")
+    m = _width(scan_on)
+    total = _grid_size(m, k, cap)
 
     bad = None
     if jobs > 1 and total > _FIRST_CHUNK:
         from concurrent.futures import ProcessPoolExecutor
         bounds = np.linspace(0, total, jobs + 1, dtype=np.int64)
-        tasks = [(scan_on, psi, names, int(lo), int(hi), m)
+        tasks = [(scan_on, psi, names, int(lo), int(hi))
                  for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             hits = [h for h in pool.map(_scan_job, tasks) if h is not None]
         bad = min(hits) if hits else None
     else:
         for lo, hi in _chunks(total):
-            valid, bad = _scan(scan_on, psi, names, lo, hi, m)
-            if not valid:
+            bad = _scan(scan_on, psi, names, lo, hi)
+            if bad is not None:
                 break
 
     if bad is None:
         return ValidityResult(True)
-    positions = _decode_index(bad, m, k)
+    positions = _var_grid(m, k, bad)
     if reduced:
         # map base elements to their first carrier pair; the carrier is
         # sorted by first component, so this preserves least-witness order
-        firsts = structure.firsts
-        pair_pos = [int(np.searchsorted(firsts, e)) for e in positions]
-        witness = {name: (int(structure.firsts[i]), int(structure.seconds[i]))
-                   for name, i in zip(names, pair_pos)}
-    elif twist:
+        positions = np.searchsorted(structure.firsts, positions).tolist()
+    if twist:
         witness = {name: (int(structure.firsts[i]), int(structure.seconds[i]))
                    for name, i in zip(names, positions)}
     else:
@@ -339,7 +314,6 @@ def validity_profile(structure, formulas, cap: int | None = None,
     """
     psis = [_prepare(structure, phi) for phi in formulas]
     twist = _is_twist(structure)
-    cap = _resolve_cap(cap)
     out = [True] * len(psis)
 
     groups: dict = {}
@@ -350,22 +324,11 @@ def validity_profile(structure, formulas, cap: int | None = None,
     for (reduced, free), members in groups.items():
         names = sorted(free)
         scan_on = structure.base if reduced else structure
-        pairs = _is_twist(scan_on)
-        m = scan_on.size if pairs else scan_on.n
-        total = m ** len(names)
-        if total > cap:
-            raise CapExceededError(
-                f"valuation space {m}^{len(names)} exceeds cap {cap}")
-        top = scan_on.base.top if pairs else scan_on.top
+        total = _grid_size(_width(scan_on), len(names), cap)
         pending = members
         for lo, hi in _chunks(total):
-            cols = _var_grid(m, len(names), lo, hi)
-            if pairs:
-                f, s = scan_on.firsts, scan_on.seconds
-                assign = {nm: (f[c], s[c]) for nm, c in zip(names, cols)}
-            else:
-                assign = {nm: c.astype(np.intp) for nm, c in zip(names, cols)}
-            ev = _Vec(scan_on, assign, hi - lo)
+            ev = _grid_vec(scan_on, names, lo, hi)
+            top = ev.base.top
             step = max(1, _BATCH_CELLS // (hi - lo))
             bad = np.empty((min(step, len(pending)), hi - lo), dtype=bool)
             still = []
@@ -373,8 +336,7 @@ def validity_profile(structure, formulas, cap: int | None = None,
                 batch = pending[start:start + step]
                 rows = bad[:len(batch)]
                 for row, i in zip(rows, batch):
-                    value = ev.eval(psis[i])
-                    np.not_equal(value[0] if pairs else value, top, out=row)
+                    np.not_equal(ev.eval(psis[i])[0], top, out=row)
                 for i, refuted in zip(batch, rows.any(axis=1).tolist()):
                     if refuted:
                         out[i] = False
@@ -530,18 +492,10 @@ def pi1_commutes(structure: TwistStructure, psi: Formula,
     if not _positive(phi):
         raise ValueError("pi1_commutes expects a formula without ~")
     names = sorted(fm.free_vars(phi))
-    k = len(names)
-    m = structure.size
-    total = m ** k
-    if total > _resolve_cap(cap):
-        raise CapExceededError(f"valuation space {m}^{k} exceeds cap")
-    for lo, hi in _chunks(total):
-        cols = _var_grid(m, k, lo, hi)
-        f, s = structure.firsts, structure.seconds
-        assign = {nm: (f[c], s[c]) for nm, c in zip(names, cols)}
-        twist_val = _Vec(structure, assign, hi - lo).eval(phi)[0]
-        base_assign = {nm: f[c] for nm, c in zip(names, cols)}
-        base_val = _Vec(structure.base, base_assign, hi - lo).eval(phi)
-        if not np.array_equal(twist_val, base_val):
+    for lo, hi in _chunks(_grid_size(structure.size, len(names), cap)):
+        ev = _grid_vec(structure, names, lo, hi)
+        base_assign = {nm: (f, None) for nm, (f, _) in ev.assign.items()}
+        base_val = _Vec(structure.base, base_assign, hi - lo).eval(phi)[0]
+        if not np.array_equal(ev.eval(phi)[0], base_val):
             return False
     return True

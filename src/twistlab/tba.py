@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra, is_boolean
+from .heyting import FiniteHeytingAlgebra, _table, is_boolean
 from .order import FinitePoset, join_irreducible_poset
 
 __all__ = [
@@ -27,13 +27,7 @@ class FiniteTBA(FiniteHeytingAlgebra):
 
     def __init__(self, meet, join, imp, bot, box):
         super().__init__(meet, join, imp, bot)
-        arr = np.asarray(box, dtype=np.intp)
-        if arr.shape != (self.n,):
-            raise ValueError(f"box must have length {self.n}")
-        if len(arr) and (arr.min() < 0 or arr.max() >= self.n):
-            raise ValueError("box entry out of element range")
-        arr.setflags(write=False)
-        self.box = arr
+        self.box = _table(box, (self.n,))
 
     @property
     def dia_table(self) -> np.ndarray:
@@ -102,18 +96,21 @@ def open_algebra(algebra: FiniteTBA):
     the ambient algebra of the i-th open element.
     """
     embed = sorted(open_elements(algebra))
-    pos = {b: i for i, b in enumerate(embed)}
-    idx = np.asarray(embed, dtype=np.intp)
-    meet = np.array([[pos[int(algebra.meet[a, b])] for b in idx] for a in idx],
-                    dtype=np.intp)
-    join = np.array([[pos[int(algebra.join[a, b])] for b in idx] for a in idx],
-                    dtype=np.intp)
-    imp = np.array(
-        [[pos[int(algebra.box[algebra.imp[a, b]])] for b in idx] for a in idx],
-        dtype=np.intp)
-    out = FiniteHeytingAlgebra(meet, join, imp, bot=pos[algebra.bot])
-    out.check()
-    return out, tuple(embed)
+    return _boxed_subalgebra(algebra, embed), tuple(embed)
+
+
+def _boxed_subalgebra(algebra: FiniteTBA, elements) -> FiniteHeytingAlgebra:
+    """The checked Heyting algebra on sorted elements closed under meet,
+    join and boxed implication (ValueError if they are not); element i is
+    elements[i]."""
+    idx = np.asarray(elements, dtype=np.intp)
+    pos = np.full(algebra.n, -1, dtype=np.intp)
+    pos[idx] = np.arange(len(idx), dtype=np.intp)
+    rows, cols = idx[:, None], idx[None, :]
+    return FiniteHeytingAlgebra(
+        pos[algebra.meet[rows, cols]], pos[algebra.join[rows, cols]],
+        pos[algebra.box[algebra.imp[rows, cols]]],
+        bot=pos[algebra.bot]).check()
 
 
 def powerset_tba(poset: FinitePoset) -> FiniteTBA:

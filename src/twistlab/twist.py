@@ -2,8 +2,9 @@
 
 The carrier of ``tw(C, nabla, delta)`` is every pair (a, b) with
 a v b in nabla and a ^ b in delta; operations act componentwise through the
-base tables, with strong negation swapping the components.  The pair of
-sets (nabla, delta) is recoverable from the carrier and determines it.
+base tables, as ``_OPERATIONS`` lists them, with strong negation swapping
+the components.  The pair of sets (nabla, delta) is recoverable from the
+carrier and determines it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,55 @@ __all__ = [
     "TwistStructure", "tw", "full_twist", "twist_apply",
     "nabla_of", "delta_of",
 ]
+
+# The twist operations: connective -> (base table of the first component,
+# base table of the second component, which component of the first argument
+# the second component reads).  The first component is the base algebra's
+# own operation on the first components, so an algebra needs only the first
+# tables.  The second component is the dual operation on the second
+# components, except that the second component of x -> y is
+# first(x) ^ second(y).  ~ swaps the components and bot is (bot, top).
+_OPERATIONS = {
+    "and": ("meet", "join", 1),
+    "or": ("join", "meet", 1),
+    "imp": ("imp", "meet", 0),
+    "box": ("box", "dia_table", 1),
+    "dia": ("dia_table", "box", 1),
+}
+
+
+def _op_tables(base):
+    """``_OPERATIONS`` resolved against a base, once per base; box and dia
+    need a TBA."""
+    tables = base._cache.get("ops")
+    if tables is None:
+        tables = {kind: (getattr(base, first), getattr(base, second), side)
+                  for kind, (first, second, side) in _OPERATIONS.items()
+                  if hasattr(base, first)}
+        base._cache["ops"] = tables
+    return tables
+
+
+def _apply(tables, kind, x, y=None):
+    """One twist operation on pair values x (and y) whose components are
+    element indices or broadcastable index arrays."""
+    first, second, side = tables[kind]
+    if y is None:
+        return first[x[0]], second[x[side]]
+    return first[x[0], y[0]], second[x[side], y[1]]
+
+
+def _closure_failure(member, f, s, tables):
+    """The first operation of ``tables`` under which the pairs (f, s) leave
+    the boolean pair matrix ``member``, or None."""
+    x, y = (f[:, None], s[:, None]), (f[None, :], s[None, :])
+    for kind, (first, _, _) in tables.items():
+        value = _apply(tables, kind, (f, s)) if first.ndim == 1 \
+            else _apply(tables, kind, x, y)
+        if not member[value].all():
+            return kind
+    return None
+
 
 class TwistStructure:
     """Carrier and invariants of a twist-structure; construct via tw()."""
@@ -117,28 +167,13 @@ def _verify(structure):
     f, s = structure.firsts, structure.seconds
     if set(f.tolist()) != set(range(base.n)):
         raise AssertionError("first projection is not onto the base")
-    f1 = f[:, None]
-    s1 = s[:, None]
-    f2 = f[None, :]
-    s2 = s[None, :]
-    checks = [
-        (base.meet[f1, f2], base.join[s1, s2]),          # and
-        (base.join[f1, f2], base.meet[s1, s2]),          # or
-        (base.imp[f1, f2], base.meet[f1, s2]),           # imp
-    ]
-    for rf, rs in checks:
-        if not member[rf, rs].all():
-            raise AssertionError("carrier not closed under an operation")
+    kind = _closure_failure(member, f, s, _op_tables(base))
+    if kind is not None:
+        raise AssertionError(f"carrier not closed under {kind}")
     if not member[s, f].all():
         raise AssertionError("carrier not closed under strong negation")
     if not member[base.bot, base.top]:
         raise AssertionError("bottom pair missing from carrier")
-    if structure.modal:
-        box, dia = base.box, base.dia_table
-        if not member[box[f], dia[s]].all():
-            raise AssertionError("carrier not closed under box")
-        if not member[dia[f], box[s]].all():
-            raise AssertionError("carrier not closed under diamond")
 
 
 def twist_apply(structure: TwistStructure, op: str, *args):
@@ -154,20 +189,11 @@ def twist_apply(structure: TwistStructure, op: str, *args):
     if op == "snot":
         (a, b), = args
         return (b, a)
-    if op == "box":
-        (a, b), = args
-        return (int(base.box[a]), int(base.dia_table[b]))
-    if op == "dia":
-        (a, b), = args
-        return (int(base.dia_table[a]), int(base.box[b]))
-    (a, b), (c, d) = args
-    if op == "and":
-        return (int(base.meet[a, c]), int(base.join[b, d]))
-    if op == "or":
-        return (int(base.join[a, c]), int(base.meet[b, d]))
-    if op == "imp":
-        return (int(base.imp[a, c]), int(base.meet[a, d]))
-    raise ValueError(f"unknown operation {op!r}")
+    tables = _op_tables(base)
+    if op not in tables:
+        raise ValueError(f"unknown operation {op!r}")
+    first, second = _apply(tables, op, *args)
+    return (int(first), int(second))
 
 
 def nabla_of(structure: TwistStructure) -> frozenset:

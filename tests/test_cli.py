@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twistlab import cli, heyting
+from twistlab import cli, heyting, order
 
 
 @pytest.fixture()
@@ -191,3 +191,60 @@ def test_twist_base_by_path(capsys, tmp_path, three):
     assert code == 0
     code, _ = run(capsys, "check", str(twist_file), "(p & ~p) -> (q | ~q)")
     assert code == 0
+
+
+def _chain3_json(**changes):
+    "The 3-chain algebra's file, with some fields replaced."
+    poset = order.FinitePoset.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
+    data = heyting.heyting_to_json(order.heyting_from_poset(poset))
+    data.update(changes)
+    return data
+
+
+def _chain3_meet(row, col, entry):
+    meet = _chain3_json()["meet"]
+    meet[row][col] = entry
+    return meet
+
+
+_BOOL2 = heyting.heyting_to_json(
+    order.heyting_from_poset(order.FinitePoset.from_pairs(1, [(0, 0)])))
+_TWIST_NABLA_7 = {"type": "twist", "base": _chain3_json(), "nabla": [7],
+                  "delta": [0]}
+
+
+@pytest.mark.parametrize("command,data,extra,want", [
+    pytest.param("validate", [1, 2], [], 2, id="validate-list"),
+    pytest.param("check", [1, 2], ["p -> p"], 2, id="check-list"),
+    pytest.param("companion", [1, 2], ["--nabla", "0", "--delta", "0"], 2,
+                 id="companion-list"),
+    pytest.param("check", _chain3_json(meet=_chain3_meet(0, 1, None)),
+                 ["p -> p"], 2, id="check-null-entry"),
+    pytest.param("check", _chain3_json(bot="x"), ["p -> p"], 2,
+                 id="check-bot-string"),
+    pytest.param("companion", _BOOL2, ["--nabla", "5", "--delta", "0"], 2,
+                 id="companion-nabla-range"),
+    pytest.param("check", _TWIST_NABLA_7, ["p -> p"], 2,
+                 id="check-twist-nabla-range"),
+    pytest.param("validate", _TWIST_NABLA_7, [], 1,
+                 id="validate-twist-nabla-range"),
+    pytest.param("validate", _chain3_json(meet=_chain3_meet(1, 1, 1.9)), [],
+                 2, id="validate-float-entry"),
+    pytest.param("validate", _chain3_json(bot=0.7), [], 2,
+                 id="validate-float-bot"),
+    pytest.param("validate", {**_BOOL2, "type": "tba", "box": [0, 0.5]}, [],
+                 2, id="validate-float-box"),
+])
+def test_malformed_input_exit_codes(capsys, tmp_path, command, data, extra,
+                                    want):
+    """Malformed files end with exit 2 and an error line, never a
+    traceback; a twist whose filter leaves the base is a violation."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = cli.main([command, str(path), *extra])
+    captured = capsys.readouterr()
+    assert code == want
+    if want == 2:
+        assert captured.err.startswith("error: ")
+    else:
+        assert "violation: nabla is not a filter" in captured.out

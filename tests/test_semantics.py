@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import slow_evaluate, slow_is_valid
 from twistlab import formula as fm
 from twistlab import heyting, order, semantics, tba, twist
-from twistlab.formula import And, Bot, Box, Imp, Or, SNeg, Var
+from twistlab.formula import And, Bot, Box, Dia, Imp, Or, SNeg, Var
 from twistlab.semantics import (CapExceededError, LanguageError,
                                 default_corpus, enumerate_formulas, evaluate,
                                 is_valid, models_axioms, pi1_commutes,
@@ -95,12 +97,20 @@ def test_positive_reduction_agrees(kleene_twist):
         assert fast.witness == full.witness
 
 
-def test_is_valid_jobs_deterministic(kleene_twist):
-    phi = fm.KLEENE_PRIME_AXIOM
-    serial = is_valid(kleene_twist, phi, jobs=1, reduce_positive=False)
-    parallel = is_valid(kleene_twist, phi, jobs=2, reduce_positive=False)
-    assert serial.valid == parallel.valid
-    assert serial.witness == parallel.witness
+def test_is_valid_jobs_deterministic(bool4):
+    """Four variables over the 16 pairs of full_twist(bool4): 65536 rows,
+    enough for jobs=2 to split the grid over a process pool.  The refuted
+    formula first fails at row 16448, outside the first serial chunk, and
+    fails in both halves of the split as well."""
+    structure = twist.full_twist(bool4)
+    assert structure.size ** 4 > semantics._FIRST_CHUNK
+    for text, valid in (("((p & q) & (r & s)) -> p", True),
+                        ("(p -> q) | (r -> ~s)", False)):
+        phi = fm.parse(text)
+        serial = is_valid(structure, phi, jobs=1, reduce_positive=False)
+        parallel = is_valid(structure, phi, jobs=2, reduce_positive=False)
+        assert serial.valid is valid
+        assert parallel == serial
 
 
 def test_validity_profile_matches_individual(kleene_twist):
@@ -255,3 +265,70 @@ def test_evaluate_agrees_with_reference(kleene_twist):
                 valuation = {"p": pair_p, "q": pair_q}
                 assert evaluate(kleene_twist, psi, valuation) == \
                     slow_evaluate(kleene_twist, psi, valuation)
+
+
+_POSETS3 = list(order.enumerate_posets(3))
+
+
+def _formulas(unary, height):
+    "Formulas over p and q of height at most ``height``."
+    leaves = st.sampled_from([p, q, Bot])
+    if height == 0:
+        return leaves
+    sub = _formulas(unary, height - 1)
+    grown = [st.builds(lambda op, a, b: op(a, b),
+                       st.sampled_from([And, Or, Imp]), sub, sub)]
+    if unary:
+        grown.append(st.builds(lambda op, a: op(a), st.sampled_from(unary),
+                               sub))
+    return st.one_of(leaves, *grown)
+
+
+_LANGUAGES = {(twisted, modal): _formulas(
+    (SNeg,) * twisted + (Box, Dia) * modal, 3)
+    for twisted in (False, True) for modal in (False, True)}
+
+
+@st.composite
+def _structures(draw):
+    """A Heyting algebra of a poset with at most 3 points or its powerset
+    TBA, either bare or under a twist with a drawn filter and ideal."""
+    poset = draw(st.sampled_from(_POSETS3))
+    modal = draw(st.booleans())
+    if modal:
+        base = tba.powerset_tba(poset)
+        filters, ideals = tba.open_filters(base), tba.closed_ideals(base)
+    else:
+        base = order.heyting_from_poset(poset)
+        filters = heyting.filters(base, require_dense=True)
+        ideals = heyting.ideals(base)
+    if not draw(st.booleans()):
+        return base, _LANGUAGES[False, modal]
+    structure = twist.tw(base, draw(st.sampled_from(filters)),
+                         draw(st.sampled_from(ideals)))
+    return structure, _LANGUAGES[True, modal]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_fast_paths_match_oracles(data):
+    """evaluate, is_valid (least witness included, with and without the
+    positive reduction) and validity_profile against the plain-loop
+    oracles, on every connective and every kind of structure."""
+    structure, language = data.draw(_structures())
+    formulas = data.draw(st.lists(language, min_size=1, max_size=4))
+    is_twist = isinstance(structure, twist.TwistStructure)
+    values = structure.pairs if is_twist else list(range(structure.n))
+    for phi in formulas:
+        valuation = {name: data.draw(st.sampled_from(values))
+                     for name in ("p", "q")}
+        assert evaluate(structure, phi, valuation) == \
+            slow_evaluate(structure, phi, valuation)
+        want = slow_is_valid(structure, phi)
+        for reduce in (True, False):
+            mine = is_valid(structure, phi, reduce_positive=reduce)
+            assert (mine.valid, mine.witness) == want
+    for reduce in (True, False):
+        assert validity_profile(structure, formulas,
+                                reduce_positive=reduce) == \
+            [is_valid(structure, phi).valid for phi in formulas]
