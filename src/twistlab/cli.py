@@ -50,6 +50,26 @@ def _load_json(path):
         return json.load(handle)
 
 
+def _elements(data, key):
+    values = data[key]
+    if not (isinstance(values, list) and all(
+            type(value) is int for value in values)):
+        raise ValueError(f"{key} must be a list of element indices")
+    return frozenset(values)
+
+
+def _twist_parts(data, base_dir):
+    """The base algebra, nabla and delta of a twist object; the base is
+    not yet checked."""
+    base = data["base"]
+    if isinstance(base, str):
+        base = _load_json(os.path.join(base_dir, base))
+    algebra = _structure_from_data(base, base_dir)
+    if isinstance(algebra, FinitePoset):
+        raise ValueError("a twist base must be an algebra, not a poset")
+    return algebra, _elements(data, "nabla"), _elements(data, "delta")
+
+
 def _structure_from_data(data, base_dir="."):
     if not isinstance(data, dict):
         raise ValueError("a structure must be a JSON object")
@@ -61,15 +81,8 @@ def _structure_from_data(data, base_dir="."):
     if kind == "tba":
         return tba_from_json(data)
     if kind == "twist":
-        base = data["base"]
-        if isinstance(base, str):
-            base_path = os.path.join(base_dir, base)
-            base = _load_json(base_path)
-        algebra = _structure_from_data(base, base_dir)
-        if isinstance(algebra, FinitePoset):
-            raise ValueError("a twist base must be an algebra, not a poset")
-        algebra.check()
-        return tw(algebra, frozenset(data["nabla"]), frozenset(data["delta"]))
+        algebra, nabla, delta = _twist_parts(data, base_dir)
+        return tw(algebra.check(), nabla, delta)
     raise ValueError(f"unknown structure type {kind!r}")
 
 
@@ -86,8 +99,10 @@ def cmd_validate(args):
         return 2
     try:
         if isinstance(data, dict) and data.get("type") == "twist":
+            algebra, nabla, delta = _twist_parts(
+                data, os.path.dirname(args.path) or ".")
             try:
-                _structure_from_data(data, os.path.dirname(args.path) or ".")
+                tw(algebra.check(), nabla, delta)
                 report = None
             except ValueError as exc:
                 report = str(exc)
@@ -119,7 +134,11 @@ def cmd_check(args):
         if report is not None:
             print(f"error: invalid structure: {report}", file=sys.stderr)
             return 2
-    texts = [args.formula] if args.formula else list(data.get("formulas", []))
+    texts = [args.formula] if args.formula else data.get("formulas", [])
+    if not (isinstance(texts, list)
+            and all(isinstance(text, str) for text in texts)):
+        print("error: formulas must be a list of strings", file=sys.stderr)
+        return 2
     if not texts:
         print("error: no formula given and none in the file", file=sys.stderr)
         return 2

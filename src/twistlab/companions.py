@@ -18,7 +18,8 @@ import numpy as np
 from . import formula as fm
 from . import openpairs, semantics
 from .formula import Formula
-from .heyting import FiniteHeytingAlgebra, closure_n, dense_filter
+from .heyting import FiniteHeytingAlgebra, _closure, _mask, closure_n, \
+    dense_filter
 from .order import enumerate_posets, heyting_from_poset
 from .tba import FiniteTBA, open_elements, open_filters, closed_ideals, \
     powerset_tba, rho_map, satisfies_grz, sigma_map, s_of
@@ -436,14 +437,9 @@ def _check_open_pair_lemmas(report, label, instance):
         report.fail("l311_3", label)
     if frozenset(s.tolist()) != gam:
         report.fail("l311_4", label)
-    gam_arr = np.asarray(sorted(gam), dtype=np.intp)
-    gset = frozenset(gam)
-    in_gamma = all(int(x) in gset
-                   for x in base.meet[gam_arr[:, None], gam_arr[None, :]].flat)
-    in_gamma = in_gamma and all(
-        int(x) in gset
-        for x in base.join[gam_arr[:, None], gam_arr[None, :]].flat)
-    if not (in_gamma and base.bot in gset):
+    gam_mask = _mask(base.n, gam)
+    if not (np.array_equal(_closure(gam_mask, (base.meet, base.join)), gam_mask)
+            and gam_mask[base.bot]):
         report.fail("l311_5", label)
     lam = openpairs.lambda_set(base, structure.nabla)  # item 7 inside
     if not lam <= gam:

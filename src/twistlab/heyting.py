@@ -32,6 +32,59 @@ def _table(data, shape):
     return arr
 
 
+# Cells of one block of an n x n x n cube in validate(); bounds its memory.
+_CUBE_CELLS = 1 << 20
+
+
+def _first_in_cube(n, block):
+    """First (i, j, k) in row-major order where the boolean n x n x n cube
+    is True, or None; ``block(rows)`` builds the cube's first-axis slice
+    ``rows``, a block at a time."""
+    step = max(1, _CUBE_CELLS // (n * n))
+    for start in range(0, n, step):
+        bad = block(slice(start, start + step))
+        if bad.any():
+            i, j, k = map(int, np.argwhere(bad)[0])
+            return start + i, j, k
+    return None
+
+
+def _mask(n, elements) -> np.ndarray:
+    """Boolean mask over 0..n-1 of the given element indices."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(elements)] = True
+    return mask
+
+
+def _closure(mask, tables) -> np.ndarray:
+    """Least superset of the boolean element mask closed under the binary
+    tables."""
+    while True:
+        idx = np.flatnonzero(mask)
+        grown = mask.copy()
+        for table in tables:
+            grown[table[idx[:, None], idx]] = True
+        if np.array_equal(grown, mask):
+            return mask
+        mask = grown
+
+
+def _is_closed_set(algebra, subset, le, table, within=None) -> bool:
+    """Whether the subset is non-empty, inside ``within`` (a mask; default
+    the carrier), holds every element of ``within`` above a member along
+    ``le``, and is closed under ``table``: a filter for (le, meet), an
+    ideal for (le.T, join)."""
+    subset = frozenset(subset)
+    if not subset or not subset <= frozenset(range(algebra.n)):
+        return False
+    mask = _mask(algebra.n, subset)
+    if within is None:
+        within = np.ones(algebra.n, dtype=bool)
+    return (not (mask & ~within).any()
+            and not (le[mask].any(axis=0) & within & ~mask).any()
+            and np.array_equal(_closure(mask, (table,)), mask))
+
+
 class FiniteHeytingAlgebra:
     """Heyting algebra given by meet/join/implication tables."""
 
@@ -112,36 +165,35 @@ class FiniteHeytingAlgebra:
         if not lb_ok.all():
             a, b = map(int, np.argwhere(~lb_ok)[0])
             return f"meet({a}, {b}) is not a lower bound"
-        is_lb = le[:, :, None] & le[:, None, :]      # [c, a, b]
-        bad = is_lb & ~le[:, meet]                   # c <= a,b but not <= meet
-        if bad.any():
-            c, a, b = map(int, np.argwhere(bad)[0])
+        # c <= a, b but not c <= meet(a, b); cubes are [c, a, b]
+        hit = _first_in_cube(n, lambda r: le[r, :, None] & le[r, None, :]
+                             & ~le[r][:, meet])
+        if hit:
+            c, a, b = hit
             return f"meet({a}, {b}) is not greatest: {c} is a larger lower bound"
         # join must be the least upper bound
         ub_ok = le[rng[:, None], join] & le[rng[None, :], join]
         if not ub_ok.all():
             a, b = map(int, np.argwhere(~ub_ok)[0])
             return f"join({a}, {b}) is not an upper bound"
-        is_ub = le.T[:, :, None] & le.T[:, None, :]  # [c, a, b]
-        bad = is_ub & ~le.T[:, join]
-        if bad.any():
-            c, a, b = map(int, np.argwhere(bad)[0])
+        ge = le.T
+        hit = _first_in_cube(n, lambda r: ge[r, :, None] & ge[r, None, :]
+                             & ~ge[r][:, join])
+        if hit:
+            c, a, b = hit
             return f"join({a}, {b}) is not least: {c} is a smaller upper bound"
         if not le[self.bot].all():
             b = int(np.flatnonzero(~le[self.bot])[0])
             return f"bot is not below {b}"
-        # residuation: meet(a, b) <= c iff a <= imp(b, c)
-        lhs = le[meet]                               # [a, b, c]
-        rhs = le[:, imp]                             # [a, b, c]
-        if (lhs != rhs).any():
-            a, b, c = map(int, np.argwhere(lhs != rhs)[0])
-            return f"residuation fails at ({a}, {b}, {c})"
+        # residuation: meet(a, b) <= c iff a <= imp(b, c); cubes are [a, b, c]
+        hit = _first_in_cube(n, lambda r: le[meet[r]] != le[r][:, imp])
+        if hit:
+            return f"residuation fails at {hit}"
         # distributivity is a consequence; check it anyway
-        lhs = meet[:, join]                          # [a, b, c]
-        rhs = join[meet[:, :, None], meet[:, None, :]]
-        if (lhs != rhs).any():
-            a, b, c = map(int, np.argwhere(lhs != rhs)[0])
-            return f"distributivity fails at ({a}, {b}, {c})"
+        hit = _first_in_cube(n, lambda r: meet[r][:, join] != join[
+            meet[r][:, :, None], meet[r][:, None, :]])
+        if hit:
+            return f"distributivity fails at {hit}"
         return None
 
     def check(self):
@@ -159,37 +211,19 @@ class FiniteHeytingAlgebra:
         return frozenset(np.flatnonzero(self.le[:, a]).tolist())
 
     def is_filter(self, subset) -> bool:
-        subset = frozenset(subset)
-        if not subset or not subset <= frozenset(range(self.n)):
-            return False
-        for a in subset:
-            if not self.upset(a) <= subset:
-                return False
-            if any(int(self.meet[a, b]) not in subset for b in subset):
-                return False
-        return True
+        return _is_closed_set(self, subset, self.le, self.meet)
 
     def is_ideal(self, subset) -> bool:
-        subset = frozenset(subset)
-        if not subset or not subset <= frozenset(range(self.n)):
-            return False
-        for a in subset:
-            if not self.downset(a) <= subset:
-                return False
-            if any(int(self.join[a, b]) not in subset for b in subset):
-                return False
-        return True
+        return _is_closed_set(self, subset, self.le.T, self.join)
 
     def join_irreducibles(self) -> list:
         """Elements a != bot such that a = b v c forces a in {b, c}."""
-        out = []
-        for a in range(self.n):
-            if a == self.bot:
-                continue
-            positions = np.argwhere(self.join == a)
-            if all(a in (int(b), int(c)) for b, c in positions):
-                out.append(a)
-        return out
+        rng = np.arange(self.n, dtype=np.intp)
+        join = self.join
+        reducible = np.zeros(self.n, dtype=bool)
+        reducible[join[(join != rng[:, None]) & (join != rng)]] = True
+        reducible[self.bot] = True
+        return np.flatnonzero(~reducible).tolist()
 
     def __eq__(self, other):
         return (isinstance(other, FiniteHeytingAlgebra)
@@ -284,11 +318,8 @@ def closure_n(algebra: FiniteHeytingAlgebra, delta) -> frozenset:
     if not algebra.is_ideal(delta):
         raise ValueError("closure_n expects an ideal")
     neg_t = algebra.neg_table
-    out = set()
-    for b in delta:
-        dn = int(neg_t[int(neg_t[b])])
-        out.update(np.flatnonzero(algebra.le[:, dn]).tolist())
-    return frozenset(out)
+    below = algebra.le[:, neg_t[neg_t[list(delta)]]].any(axis=1)
+    return frozenset(np.flatnonzero(below).tolist())
 
 
 def is_boolean(algebra: FiniteHeytingAlgebra) -> bool:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .heyting import _closure, _mask
 from .tba import _boxed_subalgebra, open_elements
 from .twist import TwistStructure, _apply, _op_tables, tw
 
@@ -52,22 +53,16 @@ def lambda_set(base, nabla) -> frozenset:
     Verified to be a subalgebra of the open algebra (meet, join, boxed
     implication, bottom).
     """
-    nabla = frozenset(nabla)
-    opens = sorted(open_elements(base))
-    out = [a for a in opens
-           if int(base.join[a, base.box[base.neg_table[a]]]) in nabla]
-    lam = frozenset(out)
-    for a in out:
-        for b in out:
-            if int(base.meet[a, b]) not in lam:
-                raise AssertionError("lambda set not closed under meet")
-            if int(base.join[a, b]) not in lam:
-                raise AssertionError("lambda set not closed under join")
-            if int(base.box[base.imp[a, b]]) not in lam:
-                raise AssertionError("lambda set not closed under implication")
-    if int(base.bot) not in lam:
+    rng = np.arange(base.n, dtype=np.intp)
+    lam = base.open_mask() & _mask(base.n, nabla)[
+        base.join[rng, base.box[base.neg_table]]]
+    for name, table in (("meet", base.meet), ("join", base.join),
+                        ("implication", base.box[base.imp])):
+        if not np.array_equal(_closure(lam, (table,)), lam):
+            raise AssertionError(f"lambda set not closed under {name}")
+    if not lam[base.bot]:
         raise AssertionError("lambda set misses bottom")
-    return lam
+    return frozenset(np.flatnonzero(lam).tolist())
 
 
 def nabla_g(structure: TwistStructure) -> frozenset:

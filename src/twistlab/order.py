@@ -167,49 +167,28 @@ def up_sets(poset: FinitePoset) -> list:
 
 
 def heyting_from_poset(poset: FinitePoset) -> FiniteHeytingAlgebra:
-    """Heyting algebra of up-sets: meet/join are intersection/union and
-    U -> V is the largest up-set whose meet with U lies in V."""
-    elems = up_sets(poset)
-    index = {s: i for i, s in enumerate(elems)}
-    m = len(elems)
-    full = (1 << poset.n) - 1
-    meet = np.empty((m, m), dtype=np.intp)
-    join = np.empty((m, m), dtype=np.intp)
-    imp = np.empty((m, m), dtype=np.intp)
-    for a, sa in enumerate(elems):
-        for b, sb in enumerate(elems):
-            meet[a, b] = index[sa & sb]
-            join[a, b] = index[sa | sb]
-            # x is in U -> V unless something above x is in U but not V
-            escape = sa & ~sb
-            bad = 0
-            for x in range(poset.n):
-                if poset.up[x] & escape:
-                    bad |= 1 << x
-            imp[a, b] = index[full & ~bad]
-    algebra = FiniteHeytingAlgebra(meet, join, imp, bot=index[0])
-    algebra.check()
-    return algebra
+    """Heyting algebra of up-sets: the open algebra of
+    ``powerset_tba(poset)``, with the up-sets in the order of ``up_sets``.
+    Meet and join are intersection and union, and U -> V is the largest
+    up-set whose meet with U lies in V (the interior of not-U or V)."""
+    from .tba import open_algebra, powerset_tba
+
+    _check(poset)
+    return open_algebra(powerset_tba(poset))[0]
 
 
 def join_irreducible_poset(algebra: FiniteHeytingAlgebra) -> FinitePoset:
-    """Poset of join-irreducible elements under the reversed algebra order.
+    """Poset of the join-irreducible elements under the reversed algebra
+    order: point i is ``algebra.join_irreducibles()[i]``.
 
-    The reversal makes ``a -> {irreducible j : j <= a}`` an isomorphism onto
-    the up-sets of the result, so composing with heyting_from_poset round
-    trips.  Returns the poset together with the list of irreducibles via
-    the companion function s_of in the tba module; here only the poset.
+    The reversal makes ``a -> {i : irreducible i <= a}`` an isomorphism
+    onto the up-sets of the result, so composing with heyting_from_poset
+    round trips; ``tba.s_of`` builds and checks that map.
     """
     irr = algebra.join_irreducibles()
-    n = len(irr)
-    up = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if algebra.leq(irr[j], irr[i]):
-                mask |= 1 << j
-        up.append(mask)
-    return FinitePoset(n, tuple(up))
+    below = algebra.le[np.ix_(irr, irr)]            # [j, i]: irr[j] <= irr[i]
+    up = (1 << np.arange(len(irr), dtype=np.intp)) @ below
+    return FinitePoset(len(irr), tuple(up.tolist()))
 
 
 def _extensions(n, up, dsets, usets):
@@ -279,8 +258,13 @@ def enumerate_posets(max_n: int, dedup: bool = False):
 def poset_from_json(data: dict) -> FinitePoset:
     if data.get("type") != "poset":
         raise ValueError("expected a poset object")
-    n = data["size"]
-    pairs = [tuple(pair) for pair in data.get("le", [])]
+    n, pairs = data["size"], data.get("le", [])
+    if type(n) is not int:
+        raise ValueError("size must be an integer")
+    if not (isinstance(pairs, list) and all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(type(i) is int for i in pair) for pair in pairs)):
+        raise ValueError("le must be a list of [i, j] pairs of integers")
     return FinitePoset.from_pairs(n, pairs, closure=bool(data.get("closure")))
 
 

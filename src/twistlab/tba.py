@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra, _table, is_boolean
+from .heyting import FiniteHeytingAlgebra, _closure, _is_closed_set, _table, \
+    is_boolean
 from .order import FinitePoset, join_irreducible_poset
 
 __all__ = [
@@ -113,29 +114,27 @@ def _boxed_subalgebra(algebra: FiniteTBA, elements) -> FiniteHeytingAlgebra:
         bot=pos[algebra.bot]).check()
 
 
+def _subset_order(n):
+    """The subsets of n points as bitmasks in (popcount, bitmask) order, and
+    the inverse: the position of each bitmask in that order."""
+    masks = np.arange(1 << n, dtype=np.intp)
+    elems = np.argsort(np.bitwise_count(masks), kind="stable")
+    index = np.empty_like(elems)
+    index[elems] = masks
+    return elems, index
+
+
 def powerset_tba(poset: FinitePoset) -> FiniteTBA:
     """Alexandrov algebra of a poset: all subsets, interior = largest
     contained up-set.  Elements are ordered by (popcount, bitmask)."""
     n = poset.n
-    full = (1 << n) - 1
-    elems = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
-    index = {s: i for i, s in enumerate(elems)}
-    size = len(elems)
-    meet = np.empty((size, size), dtype=np.intp)
-    join = np.empty((size, size), dtype=np.intp)
-    imp = np.empty((size, size), dtype=np.intp)
-    box = np.empty(size, dtype=np.intp)
-    for i, s in enumerate(elems):
-        interior = 0
-        for x in range(n):
-            if poset.up[x] & ~s == 0:
-                interior |= 1 << x
-        box[i] = index[interior]
-        for j, t in enumerate(elems):
-            meet[i, j] = index[s & t]
-            join[i, j] = index[s | t]
-            imp[i, j] = index[(full & ~s) | t]
-    return FiniteTBA(meet, join, imp, bot=index[0], box=box)
+    elems, index = _subset_order(n)
+    s, t = elems[:, None], elems[None, :]
+    # the interior of s: the points x whose up-set lies inside s
+    inside = np.asarray(poset.up, dtype=np.intp) & ~s == 0      # [s, x]
+    interior = inside @ (1 << np.arange(n, dtype=np.intp))
+    return FiniteTBA(index[s & t], index[s | t], index[~s & ((1 << n) - 1) | t],
+                     bot=index[0], box=index[interior])
 
 
 def s_of(algebra: FiniteHeytingAlgebra):
@@ -149,48 +148,25 @@ def s_of(algebra: FiniteHeytingAlgebra):
     jposet = join_irreducible_poset(algebra)
     irr = algebra.join_irreducibles()
     tba = powerset_tba(jposet)
-    elems = sorted(range(1 << jposet.n),
-                   key=lambda s: (bin(s).count("1"), s))
-    index = {s: i for i, s in enumerate(elems)}
-    iso = []
-    for a in range(algebra.n):
-        mask = 0
-        for i, j in enumerate(irr):
-            if algebra.leq(j, a):
-                mask |= 1 << i
-        iso.append(index[mask])
-    iso = tuple(iso)
+    # a maps to the set of (positions of) irreducibles below it
+    iso = _subset_order(jposet.n)[1][
+        (1 << np.arange(len(irr), dtype=np.intp)) @ algebra.le[irr]]
 
-    opens = open_elements(tba)
-    if len(set(iso)) != algebra.n or set(iso) != opens:
+    opens = tba.open_mask()
+    if not np.array_equal(np.sort(iso), np.flatnonzero(opens)):
         raise AssertionError("irreducible map is not onto the opens")
-    for a in range(algebra.n):
-        for b in range(algebra.n):
-            if iso[int(algebra.meet[a, b])] != int(tba.meet[iso[a], iso[b]]):
-                raise AssertionError("meet not preserved")
-            if iso[int(algebra.join[a, b])] != int(tba.join[iso[a], iso[b]]):
-                raise AssertionError("join not preserved")
-            boxed = int(tba.box[tba.imp[iso[a], iso[b]]])
-            if iso[int(algebra.imp[a, b])] != boxed:
-                raise AssertionError("implication not preserved")
+    a, b = iso[:, None], iso[None, :]
+    if not np.array_equal(iso[algebra.meet], tba.meet[a, b]):
+        raise AssertionError("meet not preserved")
+    if not np.array_equal(iso[algebra.join], tba.join[a, b]):
+        raise AssertionError("join not preserved")
+    if not np.array_equal(iso[algebra.imp], tba.box[tba.imp[a, b]]):
+        raise AssertionError("implication not preserved")
     if iso[algebra.bot] != tba.bot:
         raise AssertionError("bot not preserved")
-
-    generated = set(opens)
-    frontier = True
-    while frontier:
-        frontier = False
-        current = list(generated)
-        for a in current:
-            for b in current:
-                for c in (int(tba.meet[a, b]), int(tba.join[a, b]),
-                          int(tba.imp[a, b])):
-                    if c not in generated:
-                        generated.add(c)
-                        frontier = True
-    if len(generated) != tba.n:
+    if not _closure(opens, (tba.meet, tba.join, tba.imp)).all():
         raise AssertionError("algebra is not generated by its opens")
-    return tba, iso
+    return tba, tuple(iso.tolist())
 
 
 def open_filters(algebra: FiniteTBA) -> list:
@@ -221,29 +197,13 @@ def _is_closed_ideal_tba(algebra, subset):
 
 def _is_g_filter(algebra, subset):
     """Filter of the open algebra, given as ambient indices."""
-    subset = frozenset(subset)
-    opens = open_elements(algebra)
-    if not subset or not subset <= opens:
-        return False
-    for a in subset:
-        if any(b not in subset for b in algebra.upset(a) & opens):
-            return False
-        if any(int(algebra.meet[a, b]) not in subset for b in subset):
-            return False
-    return True
+    return _is_closed_set(algebra, subset, algebra.le, algebra.meet,
+                          algebra.open_mask())
 
 
 def _is_g_ideal(algebra, subset):
-    subset = frozenset(subset)
-    opens = open_elements(algebra)
-    if not subset or not subset <= opens:
-        return False
-    for a in subset:
-        if any(b not in subset for b in algebra.downset(a) & opens):
-            return False
-        if any(int(algebra.join[a, b]) not in subset for b in subset):
-            return False
-    return True
+    return _is_closed_set(algebra, subset, algebra.le.T, algebra.join,
+                          algebra.open_mask())
 
 
 def delta_map(algebra: FiniteTBA, nabla) -> frozenset:
@@ -278,11 +238,8 @@ def sigma_map(algebra: FiniteTBA, delta) -> frozenset:
     delta = frozenset(delta)
     if not (algebra.is_ideal(delta) or _is_g_ideal(algebra, delta)):
         raise ValueError("sigma_map expects an ideal")
-    out = set()
-    for y in delta:
-        d = int(algebra.dia_table[y])
-        out.update(np.flatnonzero(algebra.le[:, d]).tolist())
-    out = frozenset(out)
+    below = algebra.le[:, algebra.dia_table[list(delta)]].any(axis=1)
+    out = frozenset(np.flatnonzero(below).tolist())
     if not _is_closed_ideal_tba(algebra, out):
         raise AssertionError("sigma_map image is not a closed ideal")
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra, dense_filter
+from .heyting import FiniteHeytingAlgebra, _mask, dense_filter
 from .tba import FiniteTBA, _is_closed_ideal_tba, _is_open_filter
 
 __all__ = [
@@ -141,11 +141,7 @@ def tw(base: FiniteHeytingAlgebra, nabla, delta) -> TwistStructure:
         if not base.is_ideal(delta):
             raise ValueError("delta is not an ideal of the base")
 
-    nabla_mask = np.zeros(base.n, dtype=bool)
-    nabla_mask[list(nabla)] = True
-    delta_mask = np.zeros(base.n, dtype=bool)
-    delta_mask[list(delta)] = True
-    ok = nabla_mask[base.join] & delta_mask[base.meet]
+    ok = _mask(base.n, nabla)[base.join] & _mask(base.n, delta)[base.meet]
     pairs = np.argwhere(ok)
     firsts = np.ascontiguousarray(pairs[:, 0])
     seconds = np.ascontiguousarray(pairs[:, 1])

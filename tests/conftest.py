@@ -130,6 +130,39 @@ def slow_is_valid(structure, phi):
     return True, None
 
 
+def slow_is_filter(algebra, subset, within=None):
+    """Plain-loop filter test: non-empty, upward closed, closed under meet.
+    With ``within`` (elements closed under meet and join) a filter of the
+    lattice on those elements."""
+    return _slow_is_closed(algebra, subset, within, algebra.leq, algebra.meet)
+
+
+def slow_is_ideal(algebra, subset, within=None):
+    """Plain-loop ideal test, the order dual of ``slow_is_filter``."""
+    return _slow_is_closed(algebra, subset, within,
+                           lambda a, b: algebra.leq(b, a), algebra.join)
+
+
+def _slow_is_closed(algebra, subset, within, leq, table):
+    carrier = set(range(algebra.n) if within is None else within)
+    subset = set(subset)
+    if not subset or not subset <= carrier:
+        return False
+    for a in subset:
+        if any(leq(a, b) and b not in subset for b in carrier):
+            return False
+        if any(int(table[a, b]) not in subset for b in subset):
+            return False
+    return True
+
+
+def slow_lambda_set(base, nabla):
+    """Plain-loop lambda set: the open a with a v box(a -> bot) in nabla."""
+    return frozenset(
+        a for a in range(base.n) if int(base.box[a]) == a
+        and int(base.join[a, base.box[base.imp[a, base.bot]]]) in nabla)
+
+
 def _target_of(structure):
     if isinstance(structure, twist.TwistStructure):
         return fm.LanguageTag.Lsbox if structure.modal else fm.LanguageTag.Ls

@@ -211,6 +211,7 @@ _BOOL2 = heyting.heyting_to_json(
     order.heyting_from_poset(order.FinitePoset.from_pairs(1, [(0, 0)])))
 _TWIST_NABLA_7 = {"type": "twist", "base": _chain3_json(), "nabla": [7],
                   "delta": [0]}
+_POSET = {"type": "poset", "size": 2, "le": [[0, 0], [1, 1]]}
 
 
 @pytest.mark.parametrize("command,data,extra,want", [
@@ -234,6 +235,15 @@ _TWIST_NABLA_7 = {"type": "twist", "base": _chain3_json(), "nabla": [7],
                  id="validate-float-bot"),
     pytest.param("validate", {**_BOOL2, "type": "tba", "box": [0, 0.5]}, [],
                  2, id="validate-float-box"),
+    *[pytest.param(command, data, extra, 2, id=f"{command}-{name}")
+      for command, extra in (("check", ["p -> p"]), ("validate", []))
+      for name, data in (
+          ("twist-nabla-int", {**_TWIST_NABLA_7, "nabla": 5}),
+          ("twist-nabla-nested", {**_TWIST_NABLA_7, "nabla": [[1]]}),
+          ("poset-size-string", {**_POSET, "size": "x"}),
+          ("poset-le-not-pair", {**_POSET, "le": [[0, 0], 5]}))],
+    pytest.param("check", _chain3_json(formulas=5), [], 2,
+                 id="check-formulas-int"),
 ])
 def test_malformed_input_exit_codes(capsys, tmp_path, command, data, extra,
                                     want):

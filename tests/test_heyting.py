@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from twistlab import heyting, order
+from twistlab import heyting, order, tba
 from twistlab.heyting import FiniteHeytingAlgebra
 
 
@@ -39,6 +41,51 @@ def test_validate_counts_no_paths_modulo_256():
     report = FiniteHeytingAlgebra(meet, zeros, zeros, bot=a).validate()
     assert report == ("order not transitive: "
                       f"{a} <= ... <= {c} but not {a} <= {c}")
+
+
+def test_validate_memory_bounded():
+    """validate builds its n^3 cubes a block of rows at a time: on the
+    256-element powerset TBA of an 8-point antichain the peak stays under
+    64 MB (a whole cube of indices is 128 MB)."""
+    antichain = order.FinitePoset(8, tuple(1 << i for i in range(8)))
+    algebra = tba.powerset_tba(antichain)
+    tracemalloc.start()
+    try:
+        report = algebra.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report is None
+    assert peak <= 64 << 20, f"validate peaked at {peak / 2**20:.0f} MB"
+
+
+def _corrupted(algebra, name, a, b, value):
+    tables = {key: getattr(algebra, key).copy()
+              for key in ("meet", "join", "imp")}
+    tables[name][a, b] = value
+    return FiniteHeytingAlgebra(bot=algebra.bot, **tables)
+
+
+def test_validate_reports_same_in_blocks(small_algebras, monkeypatch):
+    """One row per block names the same first failing law and elements as
+    one block for the whole cube, on single-entry corruptions; lowering the
+    meet of an incomparable pair to bot keeps the order, so only the cube
+    of lower bounds sees it."""
+    cases = []
+    for algebra in small_algebras:
+        n = algebra.n
+        for name in ("meet", "join", "imp"):
+            for a, b in ((0, n - 1), (n - 1, 1), (n // 2, n // 3)):
+                value = (getattr(algebra, name)[a, b] + 1) % n
+                cases.append(_corrupted(algebra, name, a, b, value))
+        for a, b in np.argwhere(~algebra.le & ~algebra.le.T)[:1]:
+            cases.append(_corrupted(algebra, "meet", a, b, algebra.bot))
+    whole = [case.validate() for case in cases]
+    monkeypatch.setattr(heyting, "_CUBE_CELLS", 1)
+    assert [case.validate() for case in cases] == whole
+    reports = " ".join(report for report in whole if report)
+    for law in ("is not greatest", "is not least", "residuation fails"):
+        assert law in reports
 
 
 def test_validate_one_element_algebra():

@@ -1,4 +1,6 @@
 from twistlab import heyting, order
+from twistlab.heyting import FiniteHeytingAlgebra
+from twistlab.tba import FiniteTBA, powerset_tba
 
 
 def brute_up_sets(poset):
@@ -9,6 +11,45 @@ def brute_up_sets(poset):
                for i in range(poset.n) if mask >> i & 1):
             out.append(mask)
     return sorted(out, key=lambda s: (bin(s).count("1"), s))
+
+
+def plain_alexandrov(poset):
+    """Oracle for the builders, from the definitions with plain loops:
+    the powerset TBA (subsets as ints in (popcount, value) order, classical
+    operations, interior = largest up-set inside) and its up-set algebra."""
+    full = (1 << poset.n) - 1
+    subsets = sorted(range(full + 1), key=lambda s: (bin(s).count("1"), s))
+    ups = brute_up_sets(poset)
+
+    def interior(s):
+        largest = 0
+        for u in ups:
+            if u & ~s == 0:
+                largest |= u
+        return largest
+
+    def tables(elems, imp):
+        pos = {s: i for i, s in enumerate(elems)}
+        return ([[pos[s & t] for t in elems] for s in elems],
+                [[pos[s | t] for t in elems] for s in elems],
+                [[pos[imp(s, t)] for t in elems] for s in elems], pos)
+
+    meet, join, imp, pos = tables(subsets, lambda s, t: full & ~s | t)
+    alexandrov = FiniteTBA(meet, join, imp, bot=pos[0],
+                           box=[pos[interior(s)] for s in subsets])
+    meet, join, imp, pos = tables(
+        ups, lambda u, v: interior(full & ~u | v))
+    return alexandrov, FiniteHeytingAlgebra(meet, join, imp, bot=pos[0])
+
+
+def test_builders_match_definitions():
+    posets = list(order.enumerate_posets(5))
+    sample = [p for p in posets if p.n <= 4] + \
+        [p for p in posets if p.n == 5][::97]
+    for poset in sample:
+        alexandrov, up_set_algebra = plain_alexandrov(poset)
+        assert powerset_tba(poset) == alexandrov
+        assert order.heyting_from_poset(poset) == up_set_algebra
 
 
 def test_validate_chain_ok(chain2):

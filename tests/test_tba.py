@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from twistlab import heyting, order, tba
+from conftest import slow_is_filter, slow_is_ideal, slow_lambda_set
+from twistlab import heyting, openpairs, order, tba
 from twistlab.tba import FiniteTBA
 
 
@@ -139,6 +140,34 @@ def test_open_filters_closed_ideals_vs_bruteforce():
             brute_open_filters(algebra))
         assert set(tba.closed_ideals(algebra)) == set(
             brute_closed_ideals(algebra))
+
+
+def test_predicates_match_plain_definitions():
+    """Every subset (and two leaving the carrier) of the up-set and powerset
+    algebras of the posets with up to 3 points, and every open filter of
+    the powerset algebras, against the plain-loop definitions."""
+    for poset in order.enumerate_posets(3):
+        alexandrov = tba.powerset_tba(poset)
+        for algebra in (order.heyting_from_poset(poset), alexandrov):
+            n = algebra.n
+            subsets = [frozenset(i for i in range(n) if mask >> i & 1)
+                       for mask in range(1 << n)]
+            subsets += [frozenset({n}), frozenset({0, n})]
+            for subset in subsets:
+                assert algebra.is_filter(subset) == \
+                    slow_is_filter(algebra, subset)
+                assert algebra.is_ideal(subset) == \
+                    slow_is_ideal(algebra, subset)
+        opens = tba.open_elements(alexandrov)
+        for subset in subsets:
+            assert tba._is_g_filter(alexandrov, subset) == \
+                slow_is_filter(alexandrov, subset, opens)
+            assert tba._is_g_ideal(alexandrov, subset) == \
+                slow_is_ideal(alexandrov, subset, opens)
+            if slow_is_filter(alexandrov, subset) and all(
+                    int(alexandrov.box[a]) in subset for a in subset):
+                assert openpairs.lambda_set(alexandrov, subset) == \
+                    slow_lambda_set(alexandrov, subset)
 
 
 def test_open_filters_identity_box(identity_tba):
