@@ -3,7 +3,8 @@ companion pipeline, refutation search, and enumeration.
 
 Exit codes follow one contract everywhere: 0 for a positive outcome,
 1 for a definite negative finding (violation, refutation), 2 for usage,
-parse or I/O errors.
+parse or I/O errors.  Input errors surface as exceptions that main turns
+into an ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -92,27 +93,19 @@ def load_structure(path):
 
 
 def cmd_validate(args):
-    try:
-        data = _load_json(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if isinstance(data, dict) and data.get("type") == "twist":
-            algebra, nabla, delta = _twist_parts(
-                data, os.path.dirname(args.path) or ".")
-            try:
-                tw(algebra.check(), nabla, delta)
-                report = None
-            except ValueError as exc:
-                report = str(exc)
-        else:
-            structure = _structure_from_data(data)
-            report = validate_poset(structure) \
-                if isinstance(structure, FinitePoset) else structure.validate()
-    except (KeyError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    data = _load_json(args.path)
+    if isinstance(data, dict) and data.get("type") == "twist":
+        algebra, nabla, delta = _twist_parts(
+            data, os.path.dirname(args.path) or ".")
+        try:
+            tw(algebra.check(), nabla, delta)
+            report = None
+        except ValueError as exc:
+            report = str(exc)
+    else:
+        structure = _structure_from_data(data)
+        report = validate_poset(structure) \
+            if isinstance(structure, FinitePoset) else structure.validate()
     ok = report is None
     _emit(args, {"ok": ok, "report": report},
           ["ok" if ok else f"violation: {report}"])
@@ -120,38 +113,22 @@ def cmd_validate(args):
 
 
 def cmd_check(args):
-    try:
-        structure, data = load_structure(args.path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    structure, data = load_structure(args.path)
     if isinstance(structure, FinitePoset):
-        print("error: check needs an algebra or twist, not a poset",
-              file=sys.stderr)
-        return 2
+        raise ValueError("check needs an algebra or twist, not a poset")
     if isinstance(structure, FiniteHeytingAlgebra):
         report = structure.validate()
         if report is not None:
-            print(f"error: invalid structure: {report}", file=sys.stderr)
-            return 2
+            raise ValueError(f"invalid structure: {report}")
     texts = [args.formula] if args.formula else data.get("formulas", [])
     if not (isinstance(texts, list)
             and all(isinstance(text, str) for text in texts)):
-        print("error: formulas must be a list of strings", file=sys.stderr)
-        return 2
+        raise ValueError("formulas must be a list of strings")
     if not texts:
-        print("error: no formula given and none in the file", file=sys.stderr)
-        return 2
-    results = []
-    try:
-        for text in texts:
-            phi = fm.parse(text)
-            outcome = semantics.is_valid(structure, phi, jobs=args.jobs)
-            results.append((text, outcome))
-    except (fm.ParseError, semantics.LanguageError,
-            semantics.CapExceededError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("no formula given and none in the file")
+    results = [(text, semantics.is_valid(structure, fm.parse(text),
+                                          jobs=args.jobs))
+               for text in texts]
     payload = []
     lines = []
     refuted = False
@@ -170,40 +147,30 @@ def cmd_check(args):
 
 
 def cmd_translate(args):
-    try:
-        phi = fm.parse(args.formula)
-        core = fm.desugar(phi)
-        if args.tb:
-            out = fm.belnap_translate(core)
-        else:
-            out = fm.godel_tarski(core)
-    except (fm.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    core = fm.desugar(fm.parse(args.formula))
+    if args.tb:
+        out = fm.belnap_translate(core)
+    else:
+        out = fm.godel_tarski(core)
     rendered = fm.pretty(out)
     _emit(args, {"input": args.formula, "output": rendered}, [rendered])
     return 0
 
 
 def cmd_companion(args):
-    try:
-        algebra = _structure_from_data(_load_json(args.path))
-        if type(algebra) is not FiniteHeytingAlgebra:
-            raise ValueError("expected a heyting object")
-        algebra.check()
-        nabla = frozenset(int(x) for x in args.nabla.split(","))
-        delta = frozenset(int(x) for x in args.delta.split(","))
-        instance = companion_structure(algebra, nabla, delta)
-        corpus = None
-        if args.corpus:
-            raw = _load_json(args.corpus)
-            texts = raw["formulas"] if isinstance(raw, dict) else raw
-            corpus = [fm.parse(text) for text in texts]
-        report = instance.twtop(corpus)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            fm.ParseError, semantics.CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    algebra = _structure_from_data(_load_json(args.path))
+    if type(algebra) is not FiniteHeytingAlgebra:
+        raise ValueError("expected a heyting object")
+    algebra.check()
+    nabla = frozenset(int(x) for x in args.nabla.split(","))
+    delta = frozenset(int(x) for x in args.delta.split(","))
+    instance = companion_structure(algebra, nabla, delta)
+    corpus = None
+    if args.corpus:
+        raw = _load_json(args.corpus)
+        texts = raw["formulas"] if isinstance(raw, dict) else raw
+        corpus = [fm.parse(text) for text in texts]
+    report = instance.twtop(corpus)
     mismatches = len(report.mismatches)
     payload = {"instance": instance.to_json(), "twtop": report.to_json()}
     lines = [
@@ -216,13 +183,7 @@ def cmd_companion(args):
 
 
 def cmd_grz_search(args):
-    try:
-        phi = fm.parse(args.formula)
-        hit = grz_refutation_search(phi, args.max_worlds)
-    except (fm.ParseError, semantics.LanguageError,
-            semantics.CapExceededError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    hit = grz_refutation_search(fm.parse(args.formula), args.max_worlds)
     if hit is None:
         _emit(args, {"refuted": False, "max_worlds": args.max_worlds},
               [f"no refutation on posets with <= {args.max_worlds} worlds "
@@ -247,8 +208,7 @@ def cmd_enumerate(args):
         items = [heyting_to_json(heyting_from_poset(p))
                  for p in enumerate_posets(args.max_size, dedup=args.dedup)]
     else:
-        print(f"error: unknown type {args.type!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown type {args.type!r}")
     lines = [json.dumps(item, sort_keys=True) for item in items]
     _emit(args, items, lines + [f"count: {len(items)}"])
     return 0
@@ -314,7 +274,14 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, KeyError, ValueError,
+            semantics.CapExceededError) as exc:
+        # ValueError covers json.JSONDecodeError, fm.ParseError and
+        # semantics.LanguageError
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ the validity of the double-negated axiom.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,12 +51,12 @@ class CompanionInstance:
     heyting_twist: TwistStructure  # over the algebra, with the closed ideal
     open_pairs: TwistStructure
 
-    def twtop(self, formulas=None, cap=None) -> semantics.TwTopReport:
+    def twtop(self, formulas=None) -> semantics.TwTopReport:
         """Translation-equivalence report over a corpus (default corpus
         when none is given)."""
         if formulas is None:
             formulas = semantics.default_corpus()
-        return semantics.twtop_check(self.twist, formulas, cap=cap)
+        return semantics.twtop_check(self.twist, formulas)
 
     def to_json(self):
         return {
@@ -250,8 +251,7 @@ class KleeneScanReport:
         }
 
 
-def kleene_box_implication_scan(max_poset: int,
-                                cap: int | None = None) -> KleeneScanReport:
+def kleene_box_implication_scan(max_poset: int) -> KleeneScanReport:
     """Over every powerset TBA from labeled posets up to the bound and
     every (open filter, closed ideal) pair: whenever the translated Kleene
     axiom is valid in the twist, so is the translated double-negation
@@ -267,7 +267,7 @@ def kleene_box_implication_scan(max_poset: int,
                 report.instances += 1
                 structure = tw(tba, nabla, delta)
                 valid_chi, valid_prime = semantics.validity_profile(
-                    structure, [t_chi, t_chi_prime], cap=cap)
+                    structure, [t_chi, t_chi_prime])
                 if valid_chi:
                     report.translated_kleene_valid += 1
                     if not valid_prime:
@@ -497,7 +497,7 @@ def _check_delta_rho(report, label, tba_alg):
     report.bump("delta_rho_checked", len(ofs) + len(g_filters))
 
 
-def _sweep_poset(poset, corpus, translated, sharp, cap):
+def _sweep_poset(poset, corpus, translated, sharp):
     """All pipeline checks for one source poset; returns a report shard."""
     from .heyting import filters as heyting_filters
     from .heyting import ideals as heyting_ideals
@@ -555,15 +555,15 @@ def _sweep_poset(poset, corpus, translated, sharp, cap):
                                  ("N4BOT", inst.heyting_twist),
                                  ("BS4", inst.twist)):
                 profile = semantics.validity_profile(
-                    target, list(fm.axioms(name)), cap=cap)
+                    target, list(fm.axioms(name)))
                 if not all(profile):
                     report.fail("axiom_soundness", f"{label} ({name})")
             report.bump("axiom_soundness_checked")
 
             lhs_profile = semantics.validity_profile(
-                inst.heyting_twist, corpus, cap=cap)
+                inst.heyting_twist, corpus)
             rhs_profile = semantics.validity_profile(
-                inst.twist, translated, cap=cap)
+                inst.twist, translated)
             bad = [i for i, (x, y) in enumerate(zip(lhs_profile, rhs_profile))
                    if x != y]
             if bad:
@@ -576,7 +576,7 @@ def _sweep_poset(poset, corpus, translated, sharp, cap):
             report.bump("closed_ideal_axiom_checked")
 
             sharp_profiles.append(tuple(semantics.validity_profile(
-                plain, sharp, cap=cap)))
+                plain, sharp)))
         if len(set(sharp_profiles)) > 1:
             report.fail("l414", f"{label_base} nabla={sorted(nabla)}")
         report.bump("l414_groups")
@@ -586,30 +586,30 @@ def _sweep_poset(poset, corpus, translated, sharp, cap):
 _worker_state: dict = {}
 
 
-def _sweep_init(corpus, translated, sharp, cap):
-    _worker_state["args"] = (corpus, translated, sharp, cap)
+def _sweep_init(corpus, translated, sharp):
+    _worker_state["args"] = (corpus, translated, sharp)
 
 
 def _sweep_task(up_masks):
     from .order import FinitePoset
 
-    corpus, translated, sharp, cap = _worker_state["args"]
+    corpus, translated, sharp = _worker_state["args"]
     poset = FinitePoset(len(up_masks), up_masks)
-    return _sweep_poset(poset, corpus, translated, sharp, cap)
+    return _sweep_poset(poset, corpus, translated, sharp)
 
 
 def pipeline_sweep(max_size: int = 4, corpus=None, dedup: bool = False,
-                   jobs: int = 1, cap: int | None = None,
-                   sharp_min: int = 50, posets=None) -> PipelineSweepReport:
+                   jobs: int = 1, sharp_min: int = 50,
+                   posets=None) -> PipelineSweepReport:
     """Run every pipeline-level check over all posets up to ``max_size``.
 
     Covers, per (algebra, filter, ideal) triple: the translation
     equivalence on the corpus, the closed-ideal intersection law, the
     filter-lifting bijection, the open-pair lemmas, the Kleene
     characterisation, axiom soundness, and ideal-independence of
-    excluded-middle-block formulas.  ``jobs`` parallelises by poset with
-    deterministic aggregation; an explicit ``posets`` list overrides
-    the enumeration.
+    excluded-middle-block formulas.  ``jobs`` parallelises by poset, on
+    at most os.cpu_count() worker processes, with deterministic
+    aggregation; an explicit ``posets`` list overrides the enumeration.
     """
     if corpus is None:
         corpus = semantics.default_corpus()
@@ -625,12 +625,13 @@ def pipeline_sweep(max_size: int = 4, corpus=None, dedup: bool = False,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_sweep_init,
-                initargs=(corpus, translated, sharp, cap)) as pool:
+                max_workers=min(jobs, os.cpu_count() or 1),
+                initializer=_sweep_init,
+                initargs=(corpus, translated, sharp)) as pool:
             shards = pool.map(_sweep_task, [p.up for p in posets])
             for shard in shards:
                 total.merge(shard)
     else:
         for poset in posets:
-            total.merge(_sweep_poset(poset, corpus, translated, sharp, cap))
+            total.merge(_sweep_poset(poset, corpus, translated, sharp))
     return total

@@ -42,11 +42,11 @@ class KripkeModel:
         }
 
 
-def _frame_grid(frame, names, cap):
+def _frame_grid(frame, names):
     """Every valuation of the names on the frame, as one world bitmask
     column per name, in lexicographic order."""
     m = 1 << frame.n
-    total = _grid_size(m, len(names), cap)
+    total = _grid_size(m, len(names))
     return dict(zip(names, _var_grid(m, len(names),
                                      np.arange(total, dtype=np.int64))))
 
@@ -146,12 +146,11 @@ class FrameResult:
         return out
 
 
-def frame_valid(frame: FinitePoset, phi: Formula,
-                cap: int | None = None) -> FrameResult:
+def frame_valid(frame: FinitePoset, phi: Formula) -> FrameResult:
     """Validity over every model on the frame; refutations report the
     least valuation (variables sorted, subsets by bitmask) and world."""
     psi = _modal_core(phi)
-    assign = _frame_grid(frame, sorted(fm.free_vars(psi)), cap)
+    assign = _frame_grid(frame, sorted(fm.free_vars(psi)))
     ev = _FrameVec(frame, assign)
     out = ev.eval(psi)
     bad = np.flatnonzero(out != ev.full)
@@ -166,26 +165,24 @@ def frame_valid(frame: FinitePoset, phi: Formula,
     return FrameResult(False, KripkeModel(frame, valuation), world)
 
 
-def frame_validity_profile(frame: FinitePoset, formulas,
-                           cap: int | None = None) -> list:
+def frame_validity_profile(frame: FinitePoset, formulas) -> list:
     """Validity booleans for a batch of formulas on one frame, sharing the
     valuation grid and subformula evaluations."""
     psis = [_modal_core(phi) for phi in formulas]
     names = sorted(set().union(*(fm.free_vars(psi) for psi in psis))
                    if psis else ())
-    ev = _FrameVec(frame, _frame_grid(frame, names, cap))
+    ev = _FrameVec(frame, _frame_grid(frame, names))
     return [bool((ev.eval(psi) == ev.full).all()) for psi in psis]
 
 
-def grz_refutation_search(phi: Formula, max_worlds: int,
-                          cap: int | None = None) -> FrameResult | None:
+def grz_refutation_search(phi: Formula, max_worlds: int) -> FrameResult | None:
     """Scan all labeled posets up to the size bound, smallest first and
     within a size by relation mask, for a refuting model.
 
     None means no refutation within the bound: evidence, not proof.
     """
     for frame in enumerate_posets(max_worlds):
-        result = frame_valid(frame, phi, cap=cap)
+        result = frame_valid(frame, phi)
         if not result.valid:
             return result
     return None
@@ -212,8 +209,7 @@ _STRONG_PREMISE = fm.And(
     fm.And(fm.Box(fm.Dia(fm.Neg(_p))), fm.Box(fm.Dia(fm.Neg(_q)))))
 
 
-def lemma_323_premise_vacuous(frame: FinitePoset,
-                              cap: int | None = None) -> bool:
+def lemma_323_premise_vacuous(frame: FinitePoset) -> bool:
     """The maximal-world argument behind lemma_323_formula, transcribed.
 
     On a finite frame no world can force box(p v q) together with
@@ -223,7 +219,7 @@ def lemma_323_premise_vacuous(frame: FinitePoset,
     maximal world, dia phi and phi agree for the relevant refutands.
     """
     psi = _modal_core(_STRONG_PREMISE)
-    ev = _FrameVec(frame, _frame_grid(frame, sorted(fm.free_vars(psi)), cap))
+    ev = _FrameVec(frame, _frame_grid(frame, sorted(fm.free_vars(psi))))
     if ev.eval(psi).any():
         return False
     maximal = frame.maximal_mask()

@@ -1,18 +1,22 @@
 """Valuations, evaluation and validity over algebras and twist-structures.
 
 Validity is decided by exhausting every valuation of the variables that
-occur in the formula.  The scan is vectorised: each subformula is evaluated
-on a numpy array of valuations at once, in chunks so that a refuted formula
-is abandoned after the first chunk.  Formulas without strong negation are
-decided on the base algebra of a twist-structure instead of on its pairs
-(the first projection commutes with all positive connectives, which
-pi1_commutes verifies exhaustively); the reported witness is identical.
+occur in the formula.  One scan, _first_refutations, serves is_valid and
+validity_profile: each subformula is evaluated on a numpy array of
+valuations at once, in chunks so that a refuted formula is abandoned
+after the chunk that refutes it, and each chunk's verdicts come from one
+reduction.  Formulas without strong negation are decided on the base
+algebra of a twist-structure instead of on its pairs (the first
+projection commutes with all positive connectives, which pi1_commutes
+verifies exhaustively); the reported witness is identical.  The number
+of valuations is capped by TWISTLAB_VALUATION_CAP (default 10**7).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,12 +45,17 @@ class CapExceededError(RuntimeError):
     """Valuation space larger than the configured cap."""
 
 
-def _grid_size(m, k, cap):
+def _grid_size(m, k):
     """Rows of the grid of k variables over m values, refused above the
-    cap (default from TWISTLAB_VALUATION_CAP or DEFAULT_CAP)."""
-    if cap is None:
-        env = os.environ.get("TWISTLAB_VALUATION_CAP")
+    cap: TWISTLAB_VALUATION_CAP when set, else DEFAULT_CAP."""
+    env = os.environ.get("TWISTLAB_VALUATION_CAP")
+    try:
         cap = int(env) if env else DEFAULT_CAP
+    except ValueError:
+        cap = 0  # refused below, with the values under 1
+    if cap < 1:
+        raise ValueError(f"TWISTLAB_VALUATION_CAP must be a positive "
+                         f"integer, not {env!r}")
     total = m ** k
     if total > cap:
         raise CapExceededError(
@@ -90,9 +99,8 @@ class _Vec:
     component is None, since the first components follow the algebra's own
     tables.  Small subformulas are memoised by identity (formulas are
     interned), which turns a corpus sharing subterms into a DAG sweep.
-    It returns values only: is_valid compares one formula's first
-    components with top, and validity_profile decides a batch of formulas
-    with one reduction.
+    It returns values only; _first_refutations compares first components
+    with top.
     """
 
     def __init__(self, structure, assign, length):
@@ -163,13 +171,13 @@ def _grid_vec(structure, names, lo, hi):
     return _Vec(structure, assign, hi - lo)
 
 
-def _chunks(total):
-    lo = 0
+def _chunks(lo, hi):
+    """Rows lo..hi-1 in order: _FIRST_CHUNK rows, then 2**20 at a time."""
     step = _FIRST_CHUNK
-    while lo < total:
-        hi = min(total, lo + step)
-        yield lo, hi
-        lo = hi
+    while lo < hi:
+        end = min(hi, lo + step)
+        yield lo, end
+        lo = end
         step = 1 << 20
 
 
@@ -230,67 +238,93 @@ def _positive(phi):
     return not phi.flags & fm.HAS_SNEG
 
 
-def _scan(structure, psi, names, lo, hi):
-    """Evaluate psi on grid rows lo..hi-1; return the first refuting row
-    or None."""
-    ev = _grid_vec(structure, names, lo, hi)
-    ok = ev.eval(psi)[0] == ev.base.top
-    if ok.all():
-        return None
-    return lo + int(np.argmin(ok))
+def _scan_target(structure, psi, reduce_positive):
+    """The structure psi's validity is decided on: the base of a twist
+    for a formula without strong negation, else the structure itself."""
+    if reduce_positive and _is_twist(structure) and _positive(psi):
+        return structure.base
+    return structure
 
 
-def _scan_job(args):
-    structure, psi, names, lo, hi = args
-    for clo in range(lo, hi, 1 << 20):
-        bad = _scan(structure, psi, names, clo, min(hi, clo + (1 << 20)))
-        if bad is not None:
-            return bad
-    return None
+def _first_refutations(structure, names, psis, lo, hi):
+    """Each formula's least refuting row among rows lo..hi-1 of the
+    valuation grid of ``names``, or None where it holds on all of them.
+
+    Refuted formulas drop out of later chunks, and the scan stops when
+    none is left.  In each chunk every pending formula writes
+    ``first != top`` into its row of a boolean matrix, filled in batches
+    of at most _BATCH_CELLS cells so that its memory stays bounded; one
+    argmax over the rows gives a whole batch's first refuting rows.
+    """
+    first = [None] * len(psis)
+    pending = range(len(psis))
+    for clo, chi in _chunks(lo, hi):
+        step = max(1, _BATCH_CELLS // (chi - clo))
+        # allocated before the grid: placed after it, the heap kept one
+        # more 2**20-row column resident at the peak
+        bad = np.empty((min(step, len(pending)), chi - clo), dtype=bool)
+        ev = _grid_vec(structure, names, clo, chi)
+        top = ev.base.top
+        still = []
+        for start in range(0, len(pending), step):
+            batch = pending[start:start + step]
+            rows = bad[:len(batch)]
+            for row, i in zip(rows, batch):
+                np.not_equal(ev.eval(psis[i])[0], top, out=row)
+            # argmax is 0 for a refutation at the chunk's first row and
+            # for none at all: the first column tells them apart
+            for i, offset, at_first in zip(batch,
+                                           rows.argmax(axis=1).tolist(),
+                                           rows[:, 0].tolist()):
+                if offset or at_first:
+                    first[i] = clo + offset
+                else:
+                    still.append(i)
+        pending = still
+        if not pending:
+            break
+        del ev  # free this chunk's values before the next grid is built
+    return first
 
 
-def is_valid(structure, phi: Formula, cap: int | None = None,
-             jobs: int = 1, reduce_positive: bool = True) -> ValidityResult:
+def is_valid(structure, phi: Formula, jobs: int = 1,
+             reduce_positive: bool = True) -> ValidityResult:
     """Exhaustive validity over all valuations of the variables in phi.
 
     Valuations are ordered lexicographically (variables sorted by name,
     values by element index, pairs by carrier position); a refutation
-    reports the least witness.  The valuation-space size is guarded by
-    ``cap`` (default from TWISTLAB_VALUATION_CAP or 10**7).
+    reports the least witness.  With ``jobs`` > 1 a grid larger than the
+    first chunk is split into contiguous row ranges scanned by a process
+    pool of at most os.cpu_count() workers.  The valuation-space size is
+    capped by TWISTLAB_VALUATION_CAP (default 10**7).
     """
     psi = _prepare(structure, phi)
     names = sorted(fm.free_vars(psi))
     k = len(names)
-    twist = _is_twist(structure)
-
-    reduced = twist and reduce_positive and _positive(psi)
-    scan_on = structure.base if reduced else structure
+    scan_on = _scan_target(structure, psi, reduce_positive)
     m = _width(scan_on)
-    total = _grid_size(m, k, cap)
+    total = _grid_size(m, k)
 
-    bad = None
     if jobs > 1 and total > _FIRST_CHUNK:
         from concurrent.futures import ProcessPoolExecutor
-        bounds = np.linspace(0, total, jobs + 1, dtype=np.int64)
-        tasks = [(scan_on, psi, names, int(lo), int(hi))
-                 for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hits = [h for h in pool.map(_scan_job, tasks) if h is not None]
+        workers = min(jobs, os.cpu_count() or 1)
+        bounds = np.linspace(0, total, workers + 1, dtype=np.int64).tolist()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            hits = [row for (row,) in pool.map(
+                partial(_first_refutations, scan_on, names, [psi]),
+                bounds[:-1], bounds[1:]) if row is not None]
         bad = min(hits) if hits else None
     else:
-        for lo, hi in _chunks(total):
-            bad = _scan(scan_on, psi, names, lo, hi)
-            if bad is not None:
-                break
+        bad = _first_refutations(scan_on, names, [psi], 0, total)[0]
 
     if bad is None:
         return ValidityResult(True)
     positions = _var_grid(m, k, bad)
-    if reduced:
+    if scan_on is not structure:
         # map base elements to their first carrier pair; the carrier is
         # sorted by first component, so this preserves least-witness order
         positions = np.searchsorted(structure.firsts, positions).tolist()
-    if twist:
+    if _is_twist(structure):
         witness = {name: (int(structure.firsts[i]), int(structure.seconds[i]))
                    for name, i in zip(names, positions)}
     else:
@@ -299,52 +333,30 @@ def is_valid(structure, phi: Formula, cap: int | None = None,
     return ValidityResult(False, witness, value)
 
 
-def validity_profile(structure, formulas, cap: int | None = None,
+def validity_profile(structure, formulas,
                      reduce_positive: bool = True) -> list:
-    """Validity booleans for a batch of formulas sharing one grid.
+    """Validity booleans for a batch of formulas.
 
     Much faster than mapping is_valid when the formulas share subterms:
-    each chunk of the valuation space is evaluated once per distinct
-    subformula, and formulas refuted early drop out of later chunks.
-    The verdicts of a chunk come from one reduction: each pending
-    formula writes ``first != top`` into its row of a boolean matrix,
-    and one ``any`` over the rows refutes them together.  The matrix is
-    filled in batches of at most _BATCH_CELLS cells, so its memory stays
-    bounded however large the chunk.
+    formulas with the same variables and the same positivity, hence the
+    same scanned grid, are scanned together, so each chunk of their grid
+    is evaluated once per distinct subformula, and formulas refuted
+    early drop out of later chunks.
     """
     psis = [_prepare(structure, phi) for phi in formulas]
-    twist = _is_twist(structure)
-    out = [True] * len(psis)
-
     groups: dict = {}
     for i, psi in enumerate(psis):
-        reduced = twist and reduce_positive and _positive(psi)
-        groups.setdefault((reduced, psi.free), []).append(i)
+        groups.setdefault((_positive(psi), psi.free), []).append(i)
 
-    for (reduced, free), members in groups.items():
+    out = [True] * len(psis)
+    for (_, free), members in groups.items():
+        scan_on = _scan_target(structure, psis[members[0]], reduce_positive)
         names = sorted(free)
-        scan_on = structure.base if reduced else structure
-        total = _grid_size(_width(scan_on), len(names), cap)
-        pending = members
-        for lo, hi in _chunks(total):
-            ev = _grid_vec(scan_on, names, lo, hi)
-            top = ev.base.top
-            step = max(1, _BATCH_CELLS // (hi - lo))
-            bad = np.empty((min(step, len(pending)), hi - lo), dtype=bool)
-            still = []
-            for start in range(0, len(pending), step):
-                batch = pending[start:start + step]
-                rows = bad[:len(batch)]
-                for row, i in zip(rows, batch):
-                    np.not_equal(ev.eval(psis[i])[0], top, out=row)
-                for i, refuted in zip(batch, rows.any(axis=1).tolist()):
-                    if refuted:
-                        out[i] = False
-                    else:
-                        still.append(i)
-            pending = still
-            if not pending:
-                break
+        total = _grid_size(_width(scan_on), len(names))
+        rows = _first_refutations(scan_on, names,
+                                  [psis[i] for i in members], 0, total)
+        for i, row in zip(members, rows):
+            out[i] = row is None
     return out
 
 
@@ -447,8 +459,7 @@ class TwTopReport:
         }
 
 
-def twtop_check(structure: TwistStructure, formulas,
-                cap: int | None = None) -> TwTopReport:
+def twtop_check(structure: TwistStructure, formulas) -> TwTopReport:
     """For each formula, compare validity in the algebra of open pairs with
     validity of its strong-negation translation in the twist itself.
 
@@ -471,9 +482,9 @@ def twtop_check(structure: TwistStructure, formulas,
         open_side = openpairs.open_pairs_algebra(structure)
 
     translated = [fm.belnap_translate(fm.desugar(phi)) for phi in formulas]
-    rhs = validity_profile(structure, translated, cap=cap)
+    rhs = validity_profile(structure, translated)
     if open_side is not None:
-        lhs = validity_profile(open_side, list(formulas), cap=cap)
+        lhs = validity_profile(open_side, list(formulas))
     else:
         lhs = [None] * len(formulas)
     rows = list(zip(formulas, lhs, rhs))
@@ -484,18 +495,18 @@ def twtop_check(structure: TwistStructure, formulas,
     return report
 
 
-def pi1_commutes(structure: TwistStructure, psi: Formula,
-                 cap: int | None = None) -> bool:
+def pi1_commutes(structure: TwistStructure, psi: Formula) -> bool:
     """Exhaustively confirm that the first projection of a positive
     formula's value equals the base value of the projected valuation."""
     phi = _prepare(structure, psi)
     if not _positive(phi):
         raise ValueError("pi1_commutes expects a formula without ~")
     names = sorted(fm.free_vars(phi))
-    for lo, hi in _chunks(_grid_size(structure.size, len(names), cap)):
+    for lo, hi in _chunks(0, _grid_size(structure.size, len(names))):
         ev = _grid_vec(structure, names, lo, hi)
         base_assign = {nm: (f, None) for nm, (f, _) in ev.assign.items()}
         base_val = _Vec(structure.base, base_assign, hi - lo).eval(phi)[0]
         if not np.array_equal(ev.eval(phi)[0], base_val):
             return False
+        del ev, base_assign, base_val  # freed before the next grid is built
     return True

@@ -1,4 +1,6 @@
+import concurrent.futures
 import itertools
+import os
 
 import pytest
 
@@ -37,6 +39,37 @@ def bool4(anti2):
 def kleene_twist(three):
     "Tw(3-chain, {1, 2}, {0, 1}): the chi-validating, chi'-refuting model."
     return twist.tw(three, frozenset({1, 2}), frozenset({0, 1}))
+
+
+@pytest.fixture()
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs its tasks in this
+    process, with os.cpu_count() reading 3; returns the list to which
+    each pool appends its max_workers and its number of tasks."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.record = {"max_workers": max_workers, "tasks": 0}
+            pools.append(self.record)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))
+            self.record["tasks"] = len(tasks)
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return pools
 
 
 @pytest.fixture(scope="session")

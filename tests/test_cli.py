@@ -157,6 +157,18 @@ def test_kleene_demo(capsys):
     assert payload["result"]["scan"]["violations"] == []
 
 
+@pytest.mark.parametrize("cap", ["1", "abc", "0"])
+def test_kleene_demo_cap_errors(capsys, monkeypatch, cap):
+    """A cap the demo's grids exceed, or one that is not a positive
+    integer, ends with exit 2 and an error line, not a traceback."""
+    monkeypatch.setenv("TWISTLAB_VALUATION_CAP", cap)
+    code = cli.main(["kleene-demo"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "TWISTLAB_VALUATION_CAP" in captured.err
+
+
 def test_kleene_demo_transcript(capsys):
     code, out = run(capsys, "kleene-demo")
     assert code == 0 and "[checked]" in out and "[glue]" in out

@@ -196,3 +196,15 @@ def test_pipeline_sweep_jobs_deterministic():
     parallel = pipeline_sweep(max_size=2, corpus=corpus, sharp_min=10,
                               jobs=2)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_pipeline_sweep_pool_bounded_by_cpu_count(fake_pool, monkeypatch):
+    """However large ``jobs``, the sweep's pool gets one worker per CPU
+    (the fake pool forks nothing)."""
+    monkeypatch.setattr(companions, "_worker_state", {})
+    corpus = semantics.default_corpus(40)
+    serial = pipeline_sweep(max_size=2, corpus=corpus, sharp_min=10)
+    pooled = pipeline_sweep(max_size=2, corpus=corpus, sharp_min=10,
+                            jobs=100_000)
+    assert serial.to_json() == pooled.to_json()
+    assert fake_pool == [{"max_workers": 3, "tasks": serial.posets}]

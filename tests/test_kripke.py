@@ -151,6 +151,7 @@ def test_frame_algebra_soundness_bridge():
         assert frame_side == algebra_side
 
 
-def test_frame_cap(chain2):
+def test_frame_cap(monkeypatch, chain2):
+    monkeypatch.setenv("TWISTLAB_VALUATION_CAP", "3")
     with pytest.raises(semantics.CapExceededError):
-        frame_valid(chain2, Imp(p, q), cap=3)
+        frame_valid(chain2, Imp(p, q))

@@ -101,16 +101,35 @@ def test_is_valid_jobs_deterministic(bool4):
     """Four variables over the 16 pairs of full_twist(bool4): 65536 rows,
     enough for jobs=2 to split the grid over a process pool.  The refuted
     formula first fails at row 16448, outside the first serial chunk, and
-    fails in both halves of the split as well."""
+    fails in both halves of the split as well.  The positive formulas in
+    seven variables are decided on the base: 4**7 = 16384 rows, refuted
+    from row 4096 on (where p first leaves bot) in both halves too."""
     structure = twist.full_twist(bool4)
     assert structure.size ** 4 > semantics._FIRST_CHUNK
-    for text, valid in (("((p & q) & (r & s)) -> p", True),
-                        ("(p -> q) | (r -> ~s)", False)):
+    assert bool4.n ** 7 > semantics._FIRST_CHUNK
+    for text, valid, reduce in (
+            ("((p & q) & (r & s)) -> p", True, False),
+            ("(p -> q) | (r -> ~s)", False, False),
+            ("((p & q) & ((r & s) & ((t & u) & v))) -> p", True, True),
+            ("(p -> v) | ((q & r) & ((s & t) & u))", False, True)):
         phi = fm.parse(text)
-        serial = is_valid(structure, phi, jobs=1, reduce_positive=False)
-        parallel = is_valid(structure, phi, jobs=2, reduce_positive=False)
+        serial = is_valid(structure, phi, jobs=1, reduce_positive=reduce)
+        parallel = is_valid(structure, phi, jobs=2, reduce_positive=reduce)
         assert serial.valid is valid
         assert parallel == serial
+    # the reduced refutation lies past the first chunk: p is not bot
+    assert serial.witness["p"][0] != bool4.bot
+
+
+def test_is_valid_pool_bounded_by_cpu_count(fake_pool, bool4):
+    """However large ``jobs``, the pool gets one worker and one row range
+    per CPU (the fake pool forks nothing)."""
+    structure = twist.full_twist(bool4)
+    phi = fm.parse("(p -> q) | (r -> ~s)")
+    serial = is_valid(structure, phi, reduce_positive=False)
+    assert is_valid(structure, phi, jobs=100_000,
+                    reduce_positive=False) == serial
+    assert fake_pool == [{"max_workers": 3, "tasks": 3}]
 
 
 def test_validity_profile_matches_individual(kleene_twist):
@@ -164,12 +183,6 @@ def test_validity_profile_large_grid(bool4, reduce_positive):
                             reduce_positive=reduce_positive) == want[::-1]
 
 
-def test_cap_guard(kleene_twist):
-    with pytest.raises(CapExceededError):
-        is_valid(kleene_twist, fm.KLEENE_PRIME_AXIOM, cap=10,
-                 reduce_positive=False)
-
-
 def test_cap_env_override(monkeypatch, kleene_twist):
     monkeypatch.setenv("TWISTLAB_VALUATION_CAP", "10")
     with pytest.raises(CapExceededError):
@@ -177,6 +190,10 @@ def test_cap_env_override(monkeypatch, kleene_twist):
     monkeypatch.setenv("TWISTLAB_VALUATION_CAP", "1000000")
     assert not is_valid(kleene_twist, fm.KLEENE_PRIME_AXIOM,
                         reduce_positive=False).valid
+    for bad in ("abc", "0", "-5", "2.5"):
+        monkeypatch.setenv("TWISTLAB_VALUATION_CAP", bad)
+        with pytest.raises(ValueError, match="TWISTLAB_VALUATION_CAP"):
+            is_valid(kleene_twist, fm.KLEENE_PRIME_AXIOM)
 
 
 def test_models_axioms(kleene_twist):
