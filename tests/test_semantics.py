@@ -183,6 +183,18 @@ def test_validity_profile_large_grid(bool4, reduce_positive):
                             reduce_positive=reduce_positive) == want[::-1]
 
 
+def test_cap_guard(monkeypatch, kleene_twist):
+    # p and q over the twist's pairs: the grid is size**2 rows; a cap one
+    # below it is refused, naming the variable, and a cap equal to it holds
+    rows = kleene_twist.size ** 2
+    monkeypatch.setenv("TWISTLAB_VALUATION_CAP", str(rows - 1))
+    with pytest.raises(CapExceededError, match="TWISTLAB_VALUATION_CAP"):
+        is_valid(kleene_twist, fm.KLEENE_PRIME_AXIOM, reduce_positive=False)
+    monkeypatch.setenv("TWISTLAB_VALUATION_CAP", str(rows))
+    assert not is_valid(kleene_twist, fm.KLEENE_PRIME_AXIOM,
+                        reduce_positive=False).valid
+
+
 def test_cap_env_override(monkeypatch, kleene_twist):
     monkeypatch.setenv("TWISTLAB_VALUATION_CAP", "10")
     with pytest.raises(CapExceededError):
