@@ -7,12 +7,20 @@ recover the twist over A with the closed ideal, which is what makes the
 strong-negation translation faithful instance by instance.  The Kleene
 axiom material shows the one failure mode: an ideal whose closure changes
 the validity of the double-negated axiom.
+
+The sweep and the Kleene scan build and verify every instance, but read
+its validity verdicts from semantics.validity_table, one table per base
+and formula batch, at the cell (meet of the filter, join of the ideal).
+The per-instance checks (kleene_characterization,
+closed_ideal_axiom_check, delta_independence_check) stay as the oracles
+the tables are tested against.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -233,6 +241,19 @@ def closed_ideal_axiom_check(algebra, nabla, delta) -> bool:
     return semantics.is_valid(structure, fm.CLOSED_IDEAL_AXIOM).valid
 
 
+# validity_table holds the verdicts of tw(algebra, nabla, delta) at
+# (_least(algebra, nabla), _greatest(algebra, delta))
+
+def _least(algebra, nabla):
+    """The meet of a finite filter: the element it is the up-set of."""
+    return reduce(lambda x, y: int(algebra.meet[x, y]), nabla, algebra.top)
+
+
+def _greatest(algebra, delta):
+    """The join of a finite ideal: the element it is the down-set of."""
+    return reduce(lambda x, y: int(algebra.join[x, y]), delta, algebra.bot)
+
+
 @dataclass
 class KleeneScanReport:
     max_poset: int
@@ -262,15 +283,15 @@ def kleene_box_implication_scan(max_poset: int) -> KleeneScanReport:
     for poset in enumerate_posets(max_poset):
         report.posets += 1
         tba = powerset_tba(poset)
+        valid_chi, valid_prime = semantics.validity_table(
+            tba, [t_chi, t_chi_prime])
         for nabla in open_filters(tba):
             for delta in closed_ideals(tba):
                 report.instances += 1
-                structure = tw(tba, nabla, delta)
-                valid_chi, valid_prime = semantics.validity_profile(
-                    structure, [t_chi, t_chi_prime])
-                if valid_chi:
+                cell = _least(tba, nabla), _greatest(tba, delta)
+                if valid_chi[cell]:
                     report.translated_kleene_valid += 1
-                    if not valid_prime:
+                    if not valid_prime[cell]:
                         report.violations.append({
                             "poset": poset.pairs(),
                             "nabla": sorted(nabla),
@@ -497,6 +518,13 @@ def _check_delta_rho(report, label, tba_alg):
     report.bump("delta_rho_checked", len(ofs) + len(g_filters))
 
 
+def _named(formulas, indices):
+    """The first five of the indexed formulas, by pretty(), and how many
+    there are: a failure entry that can be replayed."""
+    names = [fm.pretty(formulas[i]) for i in indices[:5]]
+    return f"({len(indices)}): {names}"
+
+
 def _sweep_poset(poset, corpus, translated, sharp):
     """All pipeline checks for one source poset; returns a report shard."""
     from .heyting import filters as heyting_filters
@@ -521,9 +549,19 @@ def _sweep_poset(poset, corpus, translated, sharp):
         report.fail("closed_ideal_images", label_base)
     report.bump("closed_vs_images_checked")
 
+    n4bot, bs4 = list(fm.axioms("N4BOT")), list(fm.axioms("BS4"))
+    axioms_a, kleene_a, closed_axiom_a, corpus_a, sharp_a = np.split(
+        semantics.validity_table(
+            algebra, n4bot + [fm.KLEENE_AXIOM, fm.CLOSED_IDEAL_AXIOM]
+            + corpus + sharp),
+        np.cumsum([len(n4bot), 1, 1, len(corpus)]))
+    axioms_t, corpus_t = np.split(
+        semantics.validity_table(tba_alg, bs4 + translated), [len(bs4)])
+
     iso_set = frozenset(iso)
     for nabla in heyting_filters(algebra, require_dense=True):
-        sharp_profiles = []
+        f = _least(algebra, nabla)
+        built = []  # _greatest(delta) of each instance built
         for delta in all_ideals:
             report.instances += 1
             label = (f"{label_base} nabla={sorted(nabla)} "
@@ -534,6 +572,14 @@ def _sweep_poset(poset, corpus, translated, sharp):
                 report.fail("pipeline_invariants", f"{label}: {exc}")
                 continue
             report.bump("instances_built")
+            # the table's cell (f, d) is this carrier, which tw verifies
+            # closed; (f, dc) and (ft, dt) are the twists built in inst
+            tw(algebra, nabla, delta)
+            d = _greatest(algebra, delta)
+            dc = _greatest(algebra, inst.delta_closure)
+            ft = _least(tba_alg, inst.nabla_hat)
+            dt = _greatest(tba_alg, inst.delta_hat)
+            built.append(d)
 
             lhs = inst.delta_hat & iso_set
             rhs = frozenset(iso[a] for a in inst.delta_closure)
@@ -543,42 +589,35 @@ def _sweep_poset(poset, corpus, translated, sharp):
 
             _check_open_pair_lemmas(report, label, inst)
 
-            try:
-                if kleene_characterization(algebra, nabla, delta):
-                    report.bump("kleene_models")
-            except AssertionError:
+            by_order = bool(algebra.le[np.ix_(sorted(delta),
+                                              sorted(nabla))].all())
+            if kleene_a[0, f, d] != by_order:
                 report.fail("kleene_characterization", label)
+            elif by_order:
+                report.bump("kleene_models")
             report.bump("kleene_checked")
 
-            plain = tw(algebra, nabla, delta)
-            for name, target in (("N4BOT", plain),
-                                 ("N4BOT", inst.heyting_twist),
-                                 ("BS4", inst.twist)):
-                profile = semantics.validity_profile(
-                    target, list(fm.axioms(name)))
-                if not all(profile):
+            for name, verdicts in (("N4BOT", axioms_a[:, f, d]),
+                                   ("N4BOT", axioms_a[:, f, dc]),
+                                   ("BS4", axioms_t[:, ft, dt])):
+                if not verdicts.all():
                     report.fail("axiom_soundness", f"{label} ({name})")
             report.bump("axiom_soundness_checked")
 
-            lhs_profile = semantics.validity_profile(
-                inst.heyting_twist, corpus)
-            rhs_profile = semantics.validity_profile(
-                inst.twist, translated)
-            bad = [i for i, (x, y) in enumerate(zip(lhs_profile, rhs_profile))
-                   if x != y]
-            if bad:
-                report.fail("t332", f"{label} formulas {bad[:5]}")
+            bad = np.flatnonzero(corpus_a[:, f, dc] != corpus_t[:, ft, dt])
+            if len(bad):
+                report.fail("t332", f"{label} formulas {_named(corpus, bad)}")
             report.bump("t332_formulas", len(corpus))
 
-            axiom_valid = closed_ideal_axiom_check(algebra, nabla, delta)
-            if axiom_valid and delta not in closed_set:
+            if closed_axiom_a[0, f, d] and delta not in closed_set:
                 report.fail("closed_ideal_axiom_kernel", label)
             report.bump("closed_ideal_axiom_checked")
 
-            sharp_profiles.append(tuple(semantics.validity_profile(
-                plain, sharp)))
-        if len(set(sharp_profiles)) > 1:
-            report.fail("l414", f"{label_base} nabla={sorted(nabla)}")
+        verdicts = sharp_a[:, f, built]
+        varying = np.flatnonzero((verdicts != verdicts[:, :1]).any(axis=1))
+        if len(varying):
+            report.fail("l414", f"{label_base} nabla={sorted(nabla)} "
+                                f"formulas {_named(sharp, varying)}")
         report.bump("l414_groups")
     return report
 

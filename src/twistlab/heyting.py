@@ -339,11 +339,22 @@ def is_boolean(algebra: FiniteHeytingAlgebra) -> bool:
 #                  "meet": [[...]], "join": [[...]], "imp": [[...]]}
 
 
+def _sized(data: dict, algebra):
+    """The algebra, once a "size" the file declares is checked to be the
+    integer side of its tables."""
+    if "size" in data:
+        size = data["size"]
+        if type(size) is not int or size != algebra.n:
+            raise ValueError(f"size {size!r} is not the tables' side "
+                             f"{algebra.n}")
+    return algebra
+
+
 def heyting_from_json(data: dict) -> FiniteHeytingAlgebra:
     if data.get("type") != "heyting":
         raise ValueError("expected a heyting object")
-    return FiniteHeytingAlgebra(data["meet"], data["join"], data["imp"],
-                                bot=data["bot"])
+    return _sized(data, FiniteHeytingAlgebra(
+        data["meet"], data["join"], data["imp"], bot=data["bot"]))
 
 
 def heyting_to_json(algebra: FiniteHeytingAlgebra) -> dict:

@@ -8,8 +8,14 @@ after the chunk that refutes it, and each chunk's verdicts come from one
 reduction.  Formulas without strong negation are decided on the base
 algebra of a twist-structure instead of on its pairs (the first
 projection commutes with all positive connectives, which pi1_commutes
-verifies exhaustively); the reported witness is identical.  The number
-of valuations is capped by TWISTLAB_VALUATION_CAP (default 10**7).
+verifies exhaustively); the reported witness is identical.
+
+validity_table decides a batch over every twist on one finite base at
+once: tw(base, up(f), down(d)) is the sub-twist of the full twist on the
+pairs with f <= a v b and a ^ b <= d, so one pass over the full twist's
+grid, counting refutations by where they fall, gives the verdicts of
+every (f, d).  The number of valuations of any scan is capped by
+TWISTLAB_VALUATION_CAP (default 10**7).
 """
 
 from __future__ import annotations
@@ -23,11 +29,12 @@ import numpy as np
 from . import formula as fm
 from .formula import Formula, LanguageTag
 from .tba import FiniteTBA
-from .twist import TwistStructure, _op_tables
+from .twist import TwistStructure, _op_tables, full_twist
 
 __all__ = [
     "LanguageError", "CapExceededError", "ValidityResult",
-    "evaluate", "is_valid", "validity_profile", "models_axioms",
+    "evaluate", "is_valid", "validity_profile", "validity_table",
+    "models_axioms",
     "enumerate_formulas", "default_corpus", "twtop_check", "TwTopReport",
     "pi1_commutes",
 ]
@@ -333,6 +340,17 @@ def is_valid(structure, phi: Formula, jobs: int = 1,
     return ValidityResult(False, witness, value)
 
 
+def _grouped(structure, formulas):
+    """The formulas prepared for the structure, and the indices of those
+    that share one scanned grid: the same positivity, the same free
+    variables."""
+    psis = [_prepare(structure, phi) for phi in formulas]
+    groups: dict = {}
+    for i, psi in enumerate(psis):
+        groups.setdefault((_positive(psi), psi.free), []).append(i)
+    return psis, groups
+
+
 def validity_profile(structure, formulas,
                      reduce_positive: bool = True) -> list:
     """Validity booleans for a batch of formulas.
@@ -343,11 +361,7 @@ def validity_profile(structure, formulas,
     is evaluated once per distinct subformula, and formulas refuted
     early drop out of later chunks.
     """
-    psis = [_prepare(structure, phi) for phi in formulas]
-    groups: dict = {}
-    for i, psi in enumerate(psis):
-        groups.setdefault((_positive(psi), psi.free), []).append(i)
-
+    psis, groups = _grouped(structure, formulas)
     out = [True] * len(psis)
     for (_, free), members in groups.items():
         scan_on = _scan_target(structure, psis[members[0]], reduce_positive)
@@ -358,6 +372,66 @@ def validity_profile(structure, formulas,
         for i, row in zip(members, rows):
             out[i] = row is None
     return out
+
+
+def _refutation_counts(structure, names, psis, total):
+    """H[i, J, M]: the rows of the valuation grid of ``names`` over a
+    twist that refute formula i, counted by J, the meet over the
+    variables of a v b, and M, the join of a ^ b.  Chunked as in
+    _first_refutations, with no early exit: every row counts."""
+    base = structure.base
+    n, top = base.n, base.top
+    counts = np.zeros((len(psis), n * n), dtype=np.int64)
+    for clo, chi in _chunks(0, total):
+        ev = _grid_vec(structure, names, clo, chi)
+        meet_of_joins = np.full(chi - clo, top, dtype=np.intp)
+        join_of_meets = np.full(chi - clo, base.bot, dtype=np.intp)
+        for a, b in ev.assign.values():
+            meet_of_joins = base.meet[meet_of_joins, base.join[a, b]]
+            join_of_meets = base.join[join_of_meets, base.meet[a, b]]
+        cells = meet_of_joins * n + join_of_meets
+        for row, psi in zip(counts, psis):
+            row += np.bincount(cells[ev.eval(psi)[0] != top],
+                               minlength=n * n)
+        del ev, cells  # freed before the next grid is built
+    return counts.reshape(len(psis), n, n)
+
+
+def validity_table(base, formulas) -> np.ndarray:
+    """valid[i, f, d]: is formula i valid in the sub-twist of
+    full_twist(base) on the pairs (a, b) with f <= a v b and a ^ b <= d?
+
+    When up(f) is a filter with every dense element (an open filter over
+    a TBA) and down(d) an ideal (a closed ideal), that sub-twist is
+    tw(base, up(f), down(d)), so one call decides every instance over the
+    base.  A valuation lies in the sub-twist exactly when f <= J and
+    M <= d, with J the meet over its variables of a v b and M the join of
+    a ^ b; so each formula is evaluated once over the full twist's grid,
+    its refuting rows are counted by (J, M), and le @ H @ le sums, at
+    (f, d), those that lie in the sub-twist.  Formulas without strong
+    negation are decided once on the base, as validity_profile does, and
+    their plane is constant.  The full twist is itself an instance, so
+    the cap refuses the table exactly where it refuses that instance.
+    """
+    structure = full_twist(base)
+    n = base.n
+    psis, groups = _grouped(structure, formulas)
+    valid = np.empty((len(psis), n, n), dtype=bool)
+    le = base.le.astype(np.int64)
+    for (positive, free), members in groups.items():
+        names = sorted(free)
+        batch = [psis[i] for i in members]
+        if positive:
+            rows = _first_refutations(base, names, batch, 0,
+                                      _grid_size(n, len(names)))
+            for i, row in zip(members, rows):
+                valid[i] = row is None
+        else:
+            counts = _refutation_counts(
+                structure, names, batch,
+                _grid_size(structure.size, len(names)))
+            valid[members] = (le @ counts @ le) == 0
+    return valid
 
 
 def models_axioms(structure, name: str):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra, _closure, _is_closed_set, _table, \
-    is_boolean
+from .heyting import FiniteHeytingAlgebra, _closure, _is_closed_set, \
+    _sized, _table, is_boolean
 from .order import FinitePoset, join_irreducible_poset
 
 __all__ = [
@@ -268,8 +268,8 @@ def satisfies_grz(algebra: FiniteTBA):
 def tba_from_json(data: dict) -> FiniteTBA:
     if data.get("type") != "tba":
         raise ValueError("expected a tba object")
-    return FiniteTBA(data["meet"], data["join"], data["imp"],
-                     bot=data["bot"], box=data["box"])
+    return _sized(data, FiniteTBA(data["meet"], data["join"], data["imp"],
+                                  bot=data["bot"], box=data["box"]))
 
 
 def tba_to_json(algebra: FiniteTBA) -> dict:

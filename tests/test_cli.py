@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twistlab import cli, heyting, order
+from twistlab import cli, heyting, order, tba
 
 
 @pytest.fixture()
@@ -256,6 +256,14 @@ _POSET = {"type": "poset", "size": 2, "le": [[0, 0], [1, 1]]}
           ("poset-le-not-pair", {**_POSET, "le": [[0, 0], 5]}))],
     pytest.param("check", _chain3_json(formulas=5), [], 2,
                  id="check-formulas-int"),
+    *[pytest.param(command, data, extra, 2, id=f"{command}-{name}-size-{tag}")
+      for command, extra in (("check", ["p -> p"]), ("validate", []))
+      for name, data in (("heyting", _chain3_json()),
+                         ("tba", tba.tba_to_json(tba.powerset_tba(
+                             order.FinitePoset.from_pairs(1, [(0, 0)])))))
+      for tag, size in (("7", 7), ("string", "x"), ("null", None),
+                        ("true", True), ("float", 3.0))
+      for data in [{**data, "size": size}]],
 ])
 def test_malformed_input_exit_codes(capsys, tmp_path, command, data, extra,
                                     want):

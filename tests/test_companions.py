@@ -208,3 +208,73 @@ def test_pipeline_sweep_pool_bounded_by_cpu_count(fake_pool, monkeypatch):
                             jobs=100_000)
     assert serial.to_json() == pooled.to_json()
     assert fake_pool == [{"max_workers": 3, "tasks": serial.posets}]
+
+
+def _per_instance_profiles(poset, corpus, sharp):
+    """The per-instance validity scans of a sweep over one poset: every
+    formula set profiled on every twist it is checked on."""
+    algebra = order.heyting_from_poset(poset)
+    n4bot = list(fm.axioms("N4BOT"))
+    plain_side = n4bot + [fm.KLEENE_AXIOM, fm.CLOSED_IDEAL_AXIOM] + sharp
+    translated = [fm.belnap_translate(fm.desugar(phi)) for phi in corpus]
+    for nabla in heyting.filters(algebra, require_dense=True):
+        for delta in heyting.ideals(algebra):
+            inst = companion_structure(algebra, nabla, delta)
+            semantics.validity_profile(twist.tw(algebra, nabla, delta),
+                                       plain_side)
+            semantics.validity_profile(inst.heyting_twist, n4bot + corpus)
+            semantics.validity_profile(
+                inst.twist, list(fm.axioms("BS4")) + translated)
+
+
+def test_sweep_cap_edge(monkeypatch, chain2):
+    """The sweep's tables scan the grid of the full twist, and the full
+    twist is one of the sweep's instances: one row below the largest such
+    grid both the sweep and the per-instance scans are refused, and at
+    exactly that size both run."""
+    corpus = semantics.default_corpus(40)
+    sharp = form_sharp_corpus(10)
+    realisation, _ = tba.s_of(order.heyting_from_poset(chain2))
+    # two-variable formulas with strong negation over the full twist of the
+    # 4-element realisation; the three-variable axioms are positive and
+    # scan 4**3 rows of the base
+    rows = twist.full_twist(realisation).size ** 2
+    assert rows == 256
+    monkeypatch.setenv("TWISTLAB_VALUATION_CAP", str(rows - 1))
+    with pytest.raises(semantics.CapExceededError):
+        pipeline_sweep(corpus=corpus, sharp_min=10, posets=[chain2])
+    with pytest.raises(semantics.CapExceededError):
+        _per_instance_profiles(chain2, corpus, sharp)
+    monkeypatch.setenv("TWISTLAB_VALUATION_CAP", str(rows))
+    assert pipeline_sweep(corpus=corpus, sharp_min=10, posets=[chain2]).ok
+    _per_instance_profiles(chain2, corpus, sharp)
+
+
+def test_sweep_failures_name_formulas(monkeypatch, chain2):
+    """A t332 or l414 failure names its formulas by pretty(), next to the
+    poset, the filter and (for t332) the ideal: here one formula's
+    verdicts over the 3-chain are flipped at the ideal {bot}."""
+    target = next(phi for phi in form_sharp_corpus(10)
+                  if phi.flags & fm.HAS_SNEG)
+    table = semantics.validity_table
+
+    def flipped(base, formulas):
+        valid = table(base, formulas)
+        if not isinstance(base, tba.FiniteTBA):
+            for i, phi in enumerate(formulas):
+                if phi == target:
+                    valid[i, :, base.bot] ^= True
+        return valid
+
+    monkeypatch.setattr(semantics, "validity_table", flipped)
+    report = pipeline_sweep(corpus=[target, fm.KLEENE_AXIOM], sharp_min=10,
+                            posets=[chain2])
+    name = fm.pretty(target)
+    t332 = report.failures["t332"]
+    assert len(t332) == 2  # one per dense filter, at the ideal {bot}
+    for message in t332:
+        assert "delta=[0]" in message
+        assert message.endswith(f"formulas (1): [{name!r}]")
+    assert report.failures["l414"] == [
+        f"poset2:{chain2.relation_mask()} nabla={sorted(nabla)} "
+        f"formulas (1): [{name!r}]" for nabla in ([0, 1, 2], [1, 2])]

@@ -199,6 +199,12 @@ def test_json_round_trip(three):
     again = heyting.heyting_from_json(data)
     assert again == three
     assert again.validate() is None
+    # "size" is optional, and checked against the tables when present
+    del data["size"]
+    assert heyting.heyting_from_json(data) == three
+    for size in (2, 4, "3", None, True, 3.0):
+        with pytest.raises(ValueError, match="size"):
+            heyting.heyting_from_json({**data, "size": size})
 
 
 def test_table_shape_errors():

@@ -361,3 +361,67 @@ def test_fast_paths_match_oracles(data):
         assert validity_profile(structure, formulas,
                                 reduce_positive=reduce) == \
             [is_valid(structure, phi).valid for phi in formulas]
+
+
+# ---------------------------------------------------------------------------
+# validity_table against per-instance validity
+
+
+def _instances(base):
+    """Every (filter, ideal) pair the sweep builds a twist for over the
+    base, with the elements that the filter is the up-set of and that the
+    ideal is the down-set of."""
+    if isinstance(base, tba.FiniteTBA):
+        filters, ideals = tba.open_filters(base), tba.closed_ideals(base)
+    else:
+        filters = heyting.filters(base, require_dense=True)
+        ideals = heyting.ideals(base)
+    for nabla in filters:
+        for delta in ideals:
+            f, = [a for a in nabla if base.upset(a) == nabla]
+            d, = [a for a in delta if base.downset(a) == delta]
+            yield nabla, delta, f, d
+
+
+_TABLE_CORPUS = default_corpus(100)  # the N4BOT and Kleene axioms among them
+_TABLE_TRANSLATED = [*(fm.belnap_translate(fm.desugar(phi))
+                       for phi in _TABLE_CORPUS), *fm.axioms("BS4")]
+# a fixed sample of size-4 classes: the antichain (a 16-element base on
+# both sides), the N and the two-below-two bowtie
+_POSETS4_SAMPLE = [p for p in order.enumerate_posets(4, dedup=True)
+                   if p.n == 4][::7]
+
+
+@pytest.mark.parametrize(
+    "poset", _POSETS3 + _POSETS4_SAMPLE,
+    ids=lambda p: f"poset{p.n}:{p.relation_mask()}")
+def test_validity_table_matches_instances(poset):
+    """Every cell a sweep reads equals validity_profile on the twist it
+    stands for: each dense filter x ideal of the Heyting algebra of the
+    poset, each open filter x closed ideal of its powerset TBA."""
+    for base, formulas in (
+            (order.heyting_from_poset(poset), _TABLE_CORPUS),
+            (tba.powerset_tba(poset), _TABLE_TRANSLATED)):
+        table = semantics.validity_table(base, formulas)
+        assert table.shape == (len(formulas), base.n, base.n)
+        for nabla, delta, f, d in _instances(base):
+            structure = twist.tw(base, nabla, delta)
+            assert table[:, f, d].tolist() == \
+                validity_profile(structure, formulas)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_validity_table_random_formulas(data):
+    """On random formulas the table matches validity over the pairs
+    themselves, with no positive reduction on the oracle's side."""
+    poset = data.draw(st.sampled_from(_POSETS3))
+    modal = data.draw(st.booleans())
+    base = tba.powerset_tba(poset) if modal \
+        else order.heyting_from_poset(poset)
+    formulas = data.draw(st.lists(_LANGUAGES[True, modal], min_size=1,
+                                  max_size=4))
+    table = semantics.validity_table(base, formulas)
+    nabla, delta, f, d = data.draw(st.sampled_from(list(_instances(base))))
+    assert table[:, f, d].tolist() == validity_profile(
+        twist.tw(base, nabla, delta), formulas, reduce_positive=False)

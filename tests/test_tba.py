@@ -280,3 +280,8 @@ def test_json_round_trip(chain_tba):
     data = tba.tba_to_json(chain_tba)
     again = tba.tba_from_json(data)
     assert again == chain_tba and again.validate() is None
+    del data["size"]
+    assert tba.tba_from_json(data) == chain_tba
+    for size in (chain_tba.n - 1, str(chain_tba.n), None):
+        with pytest.raises(ValueError, match="size"):
+            tba.tba_from_json({**data, "size": size})
