@@ -1,10 +1,18 @@
 """Valuations, evaluation and validity over algebras and twist-structures.
 
 Validity is decided by exhausting every valuation of the variables that
-occur in the formula.  One scan, _first_refutations, serves is_valid and
-validity_profile: each subformula is evaluated on a numpy array of
-valuations at once, in chunks so that a refuted formula is abandoned
-after the chunk that refutes it, and each chunk's verdicts come from one
+occur in the formula, rows of a lexicographic grid: with k variables over
+m values, row r gives variable i the value r // m**(k-1-i) % m.  The grid
+is broadcast, not materialised.  The trailing t variables, the most whose
+m**t valuations fit in the first chunk, are arange(m) axes; only the
+leading k - t are columns, over the prefixes of the rows scanned.  So a
+subformula's value is only as large as the variables it mentions, and
+any value flattened in C order lists its rows in order.
+
+One scan, _first_refutations, serves is_valid and validity_profile: each
+subformula is evaluated over a chunk of the grid at once, the chunks
+whole blocks of m**t rows, so that a refuted formula is abandoned after
+the chunk that refutes it, and each chunk's verdicts come from one
 reduction.  Formulas without strong negation are decided on the base
 algebra of a twist-structure instead of on its pairs (the first
 projection commutes with all positive connectives, which pi1_commutes
@@ -100,22 +108,24 @@ _MEMO_HEIGHT = 3
 
 
 class _Vec:
-    """Evaluates formulas over parallel arrays of valuations.
+    """Evaluates formulas over a broadcast grid of valuations.
 
-    Values are (firsts, seconds) array pairs; over an algebra the second
-    component is None, since the first components follow the algebra's own
-    tables.  Small subformulas are memoised by identity (formulas are
+    Values are (firsts, seconds) pairs of index arrays that broadcast to
+    ``shape``, each with a real axis only for the variables it mentions
+    (bot is a pair of plain indices); over an algebra the second
+    component is None, since the first components follow the algebra's
+    own tables.  Small subformulas are memoised by identity (formulas are
     interned), which turns a corpus sharing subterms into a DAG sweep.
     It returns values only; _first_refutations compares first components
     with top.
     """
 
-    def __init__(self, structure, assign, length):
+    def __init__(self, structure, assign, shape=()):
         self.twist = _is_twist(structure)
         self.base = structure.base if self.twist else structure
         self.ops = _op_tables(self.base)
         self.assign = assign
-        self.length = length
+        self.shape = shape
         self.memo = {}
 
     def eval(self, phi):
@@ -137,10 +147,7 @@ class _Vec:
             except KeyError:
                 raise KeyError(f"unbound variable {phi.name!r}") from None
         if kind == "bot":
-            base = self.base
-            return (np.full(self.length, base.bot, dtype=np.intp),
-                    np.full(self.length, base.top, dtype=np.intp)
-                    if self.twist else None)
+            return (self.base.bot, self.base.top if self.twist else None)
         x = self.eval(phi.args[0])
         if kind == "sneg":
             return (x[1], x[0])
@@ -166,26 +173,49 @@ def _width(structure):
     return structure.size if _is_twist(structure) else structure.n
 
 
+def _tail(m, k):
+    """The trailing variables a grid of k variables over m values holds
+    as axes: the most, up to k, whose m**t valuations fit in the first
+    chunk.  Each prefix of the other variables spans a block of m**t
+    rows."""
+    t = 0
+    while t < k and m ** (t + 1) <= _FIRST_CHUNK:
+        t += 1
+    return t
+
+
 def _grid_vec(structure, names, lo, hi):
-    """A _Vec over rows lo..hi-1 of the lexicographic valuation grid."""
-    cols = _var_grid(_width(structure), len(names),
-                     np.arange(lo, hi, dtype=np.int64))
+    """A _Vec over rows lo..hi-1 of the valuation grid, lo and hi whole
+    blocks (_tail).  Its shape is the (hi - lo) / m**t prefixes, then an
+    axis of m values for each trailing variable.  The leading variables
+    are _var_grid columns over the prefixes, the trailing ones arange(m)
+    along their own axis, so a value broadcast to the shape and flattened
+    in C order lists rows lo..hi-1 in order."""
+    m, k = _width(structure), len(names)
+    t = _tail(m, k)
+    shape = ((hi - lo) // m ** t,) + (m,) * t
+    cols = [c.reshape(-1, *(1,) * t) for c in _var_grid(
+        m, k - t, np.arange(lo // m ** t, hi // m ** t, dtype=np.int64))]
+    cols += [np.arange(m).reshape([m if a == j else 1 for a in range(t + 1)])
+             for j in range(1, t + 1)]
     if _is_twist(structure):
         f, s = structure.firsts, structure.seconds
         assign = {name: (f[c], s[c]) for name, c in zip(names, cols)}
     else:
         assign = {name: (c, None) for name, c in zip(names, cols)}
-    return _Vec(structure, assign, hi - lo)
+    return _Vec(structure, assign, shape)
 
 
-def _chunks(lo, hi):
-    """Rows lo..hi-1 in order: _FIRST_CHUNK rows, then 2**20 at a time."""
-    step = _FIRST_CHUNK
+def _chunks(lo, hi, block):
+    """Rows lo..hi-1 in order, in whole blocks (lo and hi are multiples
+    of ``block``, at most _FIRST_CHUNK): at most _FIRST_CHUNK rows first,
+    then at most 2**20 at a time."""
+    step = _FIRST_CHUNK // block * block
     while lo < hi:
         end = min(hi, lo + step)
         yield lo, end
         lo = end
-        step = 1 << 20
+        step = (1 << 20) // block * block
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +236,16 @@ def evaluate(structure, phi: Formula, valuation: dict):
             a, b = value
             if (a, b) not in structure:
                 raise ValueError(f"pair {value} not in carrier")
-            assign[name] = (np.array([a], dtype=np.intp),
-                            np.array([b], dtype=np.intp))
+            assign[name] = (a, b)
         else:
             value = int(value)
             if not 0 <= value < structure.n:
                 raise ValueError(f"element {value} out of range")
-            assign[name] = (np.array([value], dtype=np.intp), None)
-    first, second = _Vec(structure, assign, 1).eval(psi)
+            assign[name] = (value, None)
+    first, second = _Vec(structure, assign).eval(psi)
     if twist:
-        return (int(first[0]), int(second[0]))
-    return int(first[0])
+        return (int(first), int(second))
+    return int(first)
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +294,19 @@ def _first_refutations(structure, names, psis, lo, hi):
     """
     first = [None] * len(psis)
     pending = range(len(psis))
-    for clo, chi in _chunks(lo, hi):
+    m = _width(structure)
+    for clo, chi in _chunks(lo, hi, m ** _tail(m, len(names))):
         step = max(1, _BATCH_CELLS // (chi - clo))
-        # allocated before the grid: placed after it, the heap kept one
-        # more 2**20-row column resident at the peak
         bad = np.empty((min(step, len(pending)), chi - clo), dtype=bool)
         ev = _grid_vec(structure, names, clo, chi)
+        grids = bad.reshape(len(bad), *ev.shape)
         top = ev.base.top
         still = []
         for start in range(0, len(pending), step):
             batch = pending[start:start + step]
             rows = bad[:len(batch)]
-            for row, i in zip(rows, batch):
-                np.not_equal(ev.eval(psis[i])[0], top, out=row)
+            for grid, i in zip(grids, batch):
+                np.not_equal(ev.eval(psis[i])[0], top, out=grid)
             # argmax is 0 for a refutation at the chunk's first row and
             # for none at all: the first column tells them apart
             for i, offset, at_first in zip(batch,
@@ -301,9 +330,9 @@ def is_valid(structure, phi: Formula, jobs: int = 1,
     Valuations are ordered lexicographically (variables sorted by name,
     values by element index, pairs by carrier position); a refutation
     reports the least witness.  With ``jobs`` > 1 a grid larger than the
-    first chunk is split into contiguous row ranges scanned by a process
-    pool of at most os.cpu_count() workers.  The valuation-space size is
-    capped by TWISTLAB_VALUATION_CAP (default 10**7).
+    first chunk is split into contiguous ranges of whole blocks scanned by
+    a process pool of at most os.cpu_count() workers.  The valuation-space
+    size is capped by TWISTLAB_VALUATION_CAP (default 10**7).
     """
     psi = _prepare(structure, phi)
     names = sorted(fm.free_vars(psi))
@@ -315,7 +344,9 @@ def is_valid(structure, phi: Formula, jobs: int = 1,
     if jobs > 1 and total > _FIRST_CHUNK:
         from concurrent.futures import ProcessPoolExecutor
         workers = min(jobs, os.cpu_count() or 1)
-        bounds = np.linspace(0, total, workers + 1, dtype=np.int64).tolist()
+        block = m ** _tail(m, k)
+        bounds = (np.linspace(0, total // block, workers + 1,
+                              dtype=np.int64) * block).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             hits = [row for (row,) in pool.map(
                 partial(_first_refutations, scan_on, names, [psi]),
@@ -381,19 +412,20 @@ def _refutation_counts(structure, names, psis, total):
     _first_refutations, with no early exit: every row counts."""
     base = structure.base
     n, top = base.n, base.top
+    m = structure.size
     counts = np.zeros((len(psis), n * n), dtype=np.int64)
-    for clo, chi in _chunks(0, total):
+    for clo, chi in _chunks(0, total, m ** _tail(m, len(names))):
         ev = _grid_vec(structure, names, clo, chi)
-        meet_of_joins = np.full(chi - clo, top, dtype=np.intp)
-        join_of_meets = np.full(chi - clo, base.bot, dtype=np.intp)
+        meet_of_joins, join_of_meets = top, base.bot
         for a, b in ev.assign.values():
             meet_of_joins = base.meet[meet_of_joins, base.join[a, b]]
             join_of_meets = base.join[join_of_meets, base.meet[a, b]]
-        cells = meet_of_joins * n + join_of_meets
+        cells = np.broadcast_to(meet_of_joins * n + join_of_meets, ev.shape)
+        refuted = np.empty(ev.shape, dtype=bool)
         for row, psi in zip(counts, psis):
-            row += np.bincount(cells[ev.eval(psi)[0] != top],
-                               minlength=n * n)
-        del ev, cells  # freed before the next grid is built
+            np.not_equal(ev.eval(psi)[0], top, out=refuted)
+            row += np.bincount(cells[refuted], minlength=n * n)
+        del ev, cells, refuted  # freed before the next grid is built
     return counts.reshape(len(psis), n, n)
 
 
@@ -576,11 +608,12 @@ def pi1_commutes(structure: TwistStructure, psi: Formula) -> bool:
     if not _positive(phi):
         raise ValueError("pi1_commutes expects a formula without ~")
     names = sorted(fm.free_vars(phi))
-    for lo, hi in _chunks(0, _grid_size(structure.size, len(names))):
+    m, k = structure.size, len(names)
+    for lo, hi in _chunks(0, _grid_size(m, k), m ** _tail(m, k)):
         ev = _grid_vec(structure, names, lo, hi)
         base_assign = {nm: (f, None) for nm, (f, _) in ev.assign.items()}
-        base_val = _Vec(structure.base, base_assign, hi - lo).eval(phi)[0]
-        if not np.array_equal(ev.eval(phi)[0], base_val):
+        base_val = _Vec(structure.base, base_assign).eval(phi)[0]
+        if not np.all(ev.eval(phi)[0] == base_val):
             return False
         del ev, base_assign, base_val  # freed before the next grid is built
     return True

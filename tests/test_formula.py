@@ -277,3 +277,11 @@ def test_stored_analyses_match_oracles(phi):
         assert fm.language_of(psi) == _oracle_language(psi)
         assert fm.free_vars(psi) == _oracle_free_vars(psi)
         assert semantics._positive(psi) == ("sneg" not in _kinds(psi))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_FORMULAS)
+def test_pretty_parse_round_trip_random(phi):
+    """Every query text goes through parse; pretty's output parses back to
+    the same formula on random ones too, sugar and modalities included."""
+    assert fm.parse(fm.pretty(phi)) is phi

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +133,100 @@ def test_is_valid_pool_bounded_by_cpu_count(fake_pool, bool4):
     assert is_valid(structure, phi, jobs=100_000,
                     reduce_positive=False) == serial
     assert fake_pool == [{"max_workers": 3, "tasks": 3}]
+
+
+def _chain(m):
+    "The m-element chain as a Heyting algebra, straight from its tables."
+    a = np.arange(m)
+    return heyting.FiniteHeytingAlgebra(
+        np.minimum.outer(a, a), np.maximum.outer(a, a),
+        np.where(a[:, None] <= a[None, :], m - 1, a[None, :]), 0)
+
+
+def test_grid_vec_matches_flat_grid():
+    """For every width m <= 40 (most of them not dividing _FIRST_CHUNK)
+    and up to three variables, the chunks tile the grid in whole blocks,
+    the largest that fit in _FIRST_CHUNK rows first and in 2**20 after,
+    and in each chunk the broadcast grid's columns, broadcast to its
+    shape and flattened, are the flat lexicographic grid's.  A leading
+    variable holds one value per prefix, a trailing one m values."""
+    names = ["p", "q", "r"]
+    for m in range(1, 41):
+        algebra = _chain(m)
+        for k in range(4):
+            t = semantics._tail(m, k)
+            block, total = m ** t, m ** k
+            assert block <= semantics._FIRST_CHUNK
+            assert t == k or block * m > semantics._FIRST_CHUNK
+            lo, cap = 0, semantics._FIRST_CHUNK
+            for clo, chi in semantics._chunks(0, total, block):
+                step = cap // block * block
+                assert (clo, chi) == (lo, min(total, lo + step))
+                lo, cap = chi, 1 << 20
+                ev = semantics._grid_vec(algebra, names[:k], clo, chi)
+                assert ev.shape == ((chi - clo) // block,) + (m,) * t
+                want = semantics._var_grid(m, k, np.arange(clo, chi))
+                for i, (name, col) in enumerate(zip(names, want)):
+                    got = ev.assign[name][0]
+                    assert got.size == (m if i >= k - t else ev.shape[0])
+                    assert np.array_equal(
+                        np.broadcast_to(got, ev.shape).ravel(), col)
+            assert lo == total
+    # a width above the first chunk keeps every variable a column
+    assert semantics._tail(4097, 2) == 0
+
+
+# least refuting rows of the 6561-row grid of four variables over the 9
+# pairs of full_twist(3-chain): past the first chunk's edge at row 3645,
+# on both sides of the pool's edge at row 4374; and a valid formula
+_LATE = {
+    "(((~s) & (~p)) -> (q | r)) | (((~p) & q) -> ((~p) & (p -> s)))": 3890,
+    "(((s -> s) & p) -> (s & (q -> s))) | (s -> (~~r))": 4377,
+    "(~((p -> q) | bot)) -> (((r -> p) -> q) | (q -> s))": 4779,
+    "((~(q -> r)) -> q) | (p -> s)": None,
+}
+
+
+def test_least_witness_past_misaligned_chunk_edge(fake_pool, three):
+    """Four variables over 9 pairs: three trailing axes, blocks of 729
+    rows, so the first chunk ends at row 3645, not 4096.  The least
+    witness past that edge matches the plain-loop oracle, serially and
+    over a pool of three row ranges (edges at rows 2187 and 4374)."""
+    structure = twist.full_twist(three)
+    m = structure.size
+    assert (m, semantics._tail(m, 4)) == (9, 3)
+    assert next(semantics._chunks(0, m ** 4, m ** 3)) == (0, 3645)
+    for text, row in _LATE.items():
+        phi = fm.parse(text)
+        serial = is_valid(structure, phi)
+        assert (serial.valid, serial.witness) == \
+            slow_is_valid(structure, phi)
+        if row is not None:
+            assert sum(structure.index(serial.witness[name]) * m ** (3 - i)
+                       for i, name in enumerate("pqrs")) == row
+        assert is_valid(structure, phi, jobs=3) == serial
+    assert fake_pool == [{"max_workers": 3, "tasks": 3}] * len(_LATE)
+
+
+def test_is_valid_memory_bounded():
+    """A valid strong-negation query over the 144 pairs of the full twist
+    on a 12-element algebra scans 144**3 = 2,985,984 rows, in 2**20-row
+    chunks.  Its one trailing variable is an axis and the others columns
+    over the chunk's prefixes, so the peak stays under 80 MB (materialised
+    columns of every variable peaked at 113 MB)."""
+    poset = order.FinitePoset.from_pairs(
+        4, [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1)])
+    structure = twist.full_twist(order.heyting_from_poset(poset))
+    assert structure.size == 144
+    phi = fm.parse("~(p & (q | r)) -> (~p | ~(q | r))")
+    tracemalloc.start()
+    try:
+        result = is_valid(structure, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.valid
+    assert peak <= 80 << 20, f"is_valid peaked at {peak / 2**20:.0f} MB"
 
 
 def test_validity_profile_matches_individual(kleene_twist):
