@@ -59,6 +59,15 @@ def _elements(data, key):
     return frozenset(values)
 
 
+def _formula_texts(texts):
+    """The formula strings of a file; anything but a list of strings is an
+    input error."""
+    if not (isinstance(texts, list)
+            and all(isinstance(text, str) for text in texts)):
+        raise ValueError("formulas must be a list of strings")
+    return texts
+
+
 def _twist_parts(data, base_dir):
     """The base algebra, nabla and delta of a twist object; the base is
     not yet checked."""
@@ -120,10 +129,8 @@ def cmd_check(args):
         report = structure.validate()
         if report is not None:
             raise ValueError(f"invalid structure: {report}")
-    texts = [args.formula] if args.formula else data.get("formulas", [])
-    if not (isinstance(texts, list)
-            and all(isinstance(text, str) for text in texts)):
-        raise ValueError("formulas must be a list of strings")
+    texts = [args.formula] if args.formula \
+        else _formula_texts(data.get("formulas", []))
     if not texts:
         raise ValueError("no formula given and none in the file")
     results = [(text, semantics.is_valid(structure, fm.parse(text),
@@ -165,12 +172,13 @@ def cmd_companion(args):
     nabla = frozenset(int(x) for x in args.nabla.split(","))
     delta = frozenset(int(x) for x in args.delta.split(","))
     instance = companion_structure(algebra, nabla, delta)
-    corpus = None
     if args.corpus:
         raw = _load_json(args.corpus)
-        texts = raw["formulas"] if isinstance(raw, dict) else raw
-        corpus = [fm.parse(text) for text in texts]
-    report = instance.twtop(corpus)
+        corpus = [fm.parse(text) for text in _formula_texts(
+            raw["formulas"] if isinstance(raw, dict) else raw)]
+    else:
+        corpus = semantics.default_corpus()
+    report = semantics.twtop_check(instance.twist, corpus)
     mismatches = len(report.mismatches)
     payload = {"instance": instance.to_json(), "twtop": report.to_json()}
     lines = [

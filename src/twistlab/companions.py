@@ -8,12 +8,13 @@ strong-negation translation faithful instance by instance.  The Kleene
 axiom material shows the one failure mode: an ideal whose closure changes
 the validity of the double-negated axiom.
 
-The sweep and the Kleene scan build and verify every instance, but read
-its validity verdicts from semantics.validity_table, one table per base
-and formula batch, at the cell (meet of the filter, join of the ideal).
-The per-instance checks (kleene_characterization,
-closed_ideal_axiom_check, delta_independence_check) stay as the oracles
-the tables are tested against.
+Every instance of one algebra shares its realisation (tba.s_of, built
+once per algebra).  The sweep and the Kleene scan build and verify every
+instance, but read its validity verdicts from semantics.validity_table,
+one table per base and formula batch, at the cell (meet of the filter,
+join of the ideal).  The per-instance checks (kleene_characterization,
+closed_ideal_axiom_check) stay as the oracles the tables are tested
+against.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .twist import TwistStructure, _closure_failure, _op_tables, tw
 
 __all__ = [
     "CompanionInstance", "companion_structure", "is_form_sharp",
-    "form_sharp_corpus", "delta_independence_check",
+    "form_sharp_corpus",
     "kleene_characterization", "closed_ideal_axiom_check",
     "kleene_box_implication_scan", "KleeneScanReport",
     "kleene_demo", "KleeneDemoReport",
@@ -58,13 +59,6 @@ class CompanionInstance:
     delta_closure: frozenset      # least closed ideal containing delta
     heyting_twist: TwistStructure  # over the algebra, with the closed ideal
     open_pairs: TwistStructure
-
-    def twtop(self, formulas=None) -> semantics.TwTopReport:
-        """Translation-equivalence report over a corpus (default corpus
-        when none is given)."""
-        if formulas is None:
-            formulas = semantics.default_corpus()
-        return semantics.twtop_check(self.twist, formulas)
 
     def to_json(self):
         return {
@@ -199,20 +193,6 @@ def form_sharp_corpus(min_size: int = 50) -> list:
     if len(unique) < min_size:
         raise AssertionError("corpus smaller than requested")
     return unique
-
-
-def delta_independence_check(algebra, nabla, delta1, delta2,
-                             phi: Formula) -> bool:
-    """Validity of a matching formula cannot depend on the ideal; computes
-    both sides, asserts they agree, returns the shared value."""
-    if is_form_sharp(phi) is None:
-        raise ValueError("formula does not have the required shape")
-    one = semantics.is_valid(tw(algebra, nabla, delta1), phi).valid
-    two = semantics.is_valid(tw(algebra, nabla, delta2), phi).valid
-    if one != two:
-        raise AssertionError(
-            "ideal-independence failed; this should be impossible")
-    return one
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +553,10 @@ def _sweep_poset(poset, corpus, translated, sharp):
                 continue
             report.bump("instances_built")
             # the table's cell (f, d) is this carrier, which tw verifies
-            # closed; (f, dc) and (ft, dt) are the twists built in inst
-            tw(algebra, nabla, delta)
+            # closed; (f, dc) and (ft, dt) are the twists built in inst,
+            # and (f, d) is (f, dc) when delta is closed
+            if delta != inst.delta_closure:
+                tw(algebra, nabla, delta)
             d = _greatest(algebra, delta)
             dc = _greatest(algebra, inst.delta_closure)
             ft = _least(tba_alg, inst.nabla_hat)

@@ -8,8 +8,6 @@ that candidate really is a twist-structure over a subalgebra of the opens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .heyting import _closure, _mask
@@ -19,7 +17,6 @@ from .twist import TwistStructure, _apply, _op_tables, tw
 __all__ = [
     "g2", "gamma", "lambda_set", "nabla_g", "delta_g",
     "gamma_imp_closure_equiv", "open_pairs_algebra", "box_pair_closed",
-    "OpenPairsReport", "open_pairs_report",
 ]
 
 
@@ -144,50 +141,3 @@ def open_pairs_algebra(structure: TwistStructure) -> TwistStructure:
         raise AssertionError("open pairs differ from the reconstructed twist")
     result.embed = tuple(embed)
     return result
-
-
-@dataclass
-class OpenPairsReport:
-    g2_pairs: list
-    gamma: frozenset
-    lambda_: frozenset
-    nabla_g: frozenset
-    delta_g: frozenset
-    gamma_eq_lambda: bool
-    gamma_sub_lambda: bool
-    lambda_sub_gamma: bool
-    box_pair_closed: bool
-    algebra: TwistStructure | None
-
-    def to_json(self):
-        return {
-            "g2": [list(p) for p in self.g2_pairs],
-            "gamma": sorted(self.gamma),
-            "lambda": sorted(self.lambda_),
-            "nabla_g": sorted(self.nabla_g),
-            "delta_g": sorted(self.delta_g),
-            "gamma_eq_lambda": self.gamma_eq_lambda,
-            "gamma_sub_lambda": self.gamma_sub_lambda,
-            "lambda_sub_gamma": self.lambda_sub_gamma,
-            "box_pair_closed": self.box_pair_closed,
-        }
-
-
-def open_pairs_report(structure: TwistStructure) -> OpenPairsReport:
-    """Everything the open-pair analysis yields, in one value."""
-    _require_modal(structure)
-    gam = gamma(structure)
-    lam = lambda_set(structure.base, structure.nabla)
-    algebra = open_pairs_algebra(structure) if gam == lam else None
-    return OpenPairsReport(
-        g2_pairs=g2(structure),
-        gamma=gam,
-        lambda_=lam,
-        nabla_g=nabla_g(structure),
-        delta_g=delta_g(structure),
-        gamma_eq_lambda=gam == lam,
-        gamma_sub_lambda=gam <= lam,
-        lambda_sub_gamma=lam <= gam,
-        box_pair_closed=box_pair_closed(structure),
-        algebra=algebra,
-    )

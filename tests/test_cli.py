@@ -126,6 +126,21 @@ def test_companion_pipeline(capsys, tmp_path, three_file):
     assert payload["result"]["instance"]["tba_size"] == 4
 
 
+@pytest.mark.parametrize("corpus", [
+    [5], 5, {"formulas": [["p"]]}, {"formulas": "p -> p"}],
+    ids=["int-entry", "int", "nested-list", "string"])
+def test_companion_corpus_not_strings(capsys, tmp_path, three_file, corpus):
+    """A corpus file that is not a list of formula strings, bare or under
+    "formulas", ends with exit 2 and an error line, not a traceback."""
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    code = cli.main(["companion", three_file, "--nabla", "1,2",
+                     "--delta", "0,1", "--corpus", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: formulas must be a list of strings\n"
+
+
 def test_companion_bad_filter(capsys, three_file):
     code, _ = run(capsys, "companion", three_file,
                   "--nabla", "2", "--delta", "0")

@@ -4,8 +4,7 @@ import pytest
 from twistlab import companions, formula as fm
 from twistlab import heyting, order, semantics, tba, twist
 from twistlab.companions import (companion_structure,
-                                 closed_ideal_axiom_check,
-                                 delta_independence_check, form_sharp_corpus,
+                                 closed_ideal_axiom_check, form_sharp_corpus,
                                  is_form_sharp, kleene_box_implication_scan,
                                  kleene_characterization, kleene_demo,
                                  pipeline_sweep)
@@ -52,7 +51,7 @@ def test_companion_rejects_bad_inputs(three):
 
 def test_companion_twtop_default_corpus(three):
     inst = companion_structure(three, frozenset({1, 2}), frozenset({0, 1}))
-    report = inst.twtop(semantics.default_corpus(300))
+    report = semantics.twtop_check(inst.twist, semantics.default_corpus(300))
     assert report.hypotheses_hold
     assert not report.mismatches
     data = report.to_json()
@@ -89,26 +88,13 @@ def test_form_sharp_corpus():
         assert is_form_sharp(phi) is not None
 
 
-def test_delta_independence_examples(three):
-    nabla = frozenset({1, 2})
-    d1, d2 = frozenset({0}), frozenset({0, 1})
-    block = Or(q, SNeg(q))
-    assert delta_independence_check(three, nabla, d1, d2, block) in (
-        True, False)
-    # intuitionistic formulas are the zero-block case
-    assert delta_independence_check(three, nabla, d1, d2, Imp(p, p)) is True
-    assert delta_independence_check(three, nabla, d1, d1, block) == \
-        delta_independence_check(three, nabla, d1, d1, block)
-    with pytest.raises(ValueError, match="shape"):
-        delta_independence_check(three, nabla, d1, d2, fm.KLEENE_AXIOM)
-
-
 def test_delta_independence_sweep(three):
     "Validity of shaped formulas is constant across all ideals."
     nabla = frozenset({1, 2})
     corpus = form_sharp_corpus(50)
     all_ideals = heyting.ideals(three)
-    for phi in corpus[:60]:
+    # intuitionistic formulas are the zero-block case
+    for phi in corpus[:60] + [Imp(p, p)]:
         values = {
             semantics.is_valid(twist.tw(three, nabla, delta), phi).valid
             for delta in all_ideals}
@@ -278,3 +264,33 @@ def test_sweep_failures_name_formulas(monkeypatch, chain2):
     assert report.failures["l414"] == [
         f"poset2:{chain2.relation_mask()} nabla={sorted(nabla)} "
         f"formulas (1): [{name!r}]" for nabla in ([0, 1, 2], [1, 2])]
+
+
+def test_one_realisation_per_algebra(chain2):
+    """The Alexandrov realisation belongs to the algebra: s_of builds it
+    once, every pipeline instance over the algebra lifts into that same
+    tba, and an equal algebra built separately gets its own, equal one."""
+    algebra = order.heyting_from_poset(chain2)
+    realisation = tba.s_of(algebra)
+    assert tba.s_of(algebra) is realisation
+    for nabla, delta in (({1, 2}, {0}), ({0, 1, 2}, {0, 1})):
+        inst = companion_structure(algebra, frozenset(nabla),
+                                   frozenset(delta))
+        assert inst.tba is realisation[0]
+    again = order.heyting_from_poset(chain2)
+    assert again == algebra and again is not algebra
+    other = tba.s_of(again)
+    assert other[0] is not realisation[0]
+    assert other == realisation
+
+
+def test_delta_rho_failure_is_reported(monkeypatch, chain2):
+    """A broken lifting map is a recorded delta_rho failure that names the
+    poset, not an exception that ends the sweep: here delta_map sends
+    every open filter to {top}."""
+    monkeypatch.setattr(tba, "delta_map",
+                        lambda algebra, nabla: frozenset({algebra.top}))
+    report = pipeline_sweep(corpus=semantics.default_corpus(40),
+                            sharp_min=10, posets=[chain2])
+    assert report.to_json()["failures"] == {
+        "delta_rho": [f"poset2:{chain2.relation_mask()}"]}

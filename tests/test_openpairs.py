@@ -44,7 +44,9 @@ def test_g2_of_pipeline(pipeline):
 
 
 def test_gamma_of_pipeline_is_all_opens(pipeline):
-    assert openpairs.gamma(pipeline.twist) == tba.open_elements(pipeline.tba)
+    gam = openpairs.gamma(pipeline.twist)
+    assert gam == tba.open_elements(pipeline.tba)
+    assert gam == openpairs.lambda_set(pipeline.tba, pipeline.twist.nabla)
 
 
 def test_lambda_full_filter_is_all_opens(identity_full):
@@ -106,7 +108,7 @@ def test_gamma_imp_closure_false_case(gamma_breaks_lambda):
     gam = openpairs.gamma(gamma_breaks_lambda)
     lam = openpairs.lambda_set(gamma_breaks_lambda.base,
                                gamma_breaks_lambda.nabla)
-    assert lam < gam
+    assert lam <= gam and not gam <= lam
 
 
 def test_gamma_imp_closure_true_cases(pipeline, identity_full):
@@ -186,21 +188,3 @@ def test_grz_and_lambda_imply_box_pair_closed():
             for delta in tba.closed_ideals(algebra):
                 structure = twist.tw(algebra, nabla, delta)
                 assert openpairs.box_pair_closed(structure)
-
-
-def test_report_shape(pipeline):
-    report = openpairs.open_pairs_report(pipeline.twist)
-    assert report.gamma_eq_lambda and report.box_pair_closed
-    assert report.gamma_sub_lambda and report.lambda_sub_gamma
-    assert report.algebra is not None
-    data = report.to_json()
-    assert data["gamma"] == sorted(report.gamma)
-    assert data["g2"] == [list(pair) for pair in report.g2_pairs]
-
-
-def test_report_without_algebra(gamma_breaks_lambda):
-    report = openpairs.open_pairs_report(gamma_breaks_lambda)
-    assert not report.gamma_eq_lambda
-    assert report.algebra is None
-    assert not report.gamma_sub_lambda
-    assert report.lambda_sub_gamma

@@ -54,8 +54,8 @@ def test_validate_requires_boolean(three):
 
 
 def test_diamond_laws(chain_tba):
-    assert tba.diamond(chain_tba, chain_tba.bot) == chain_tba.bot
-    assert tba.diamond(chain_tba, chain_tba.top) == chain_tba.top
+    assert chain_tba.dia(chain_tba.bot) == chain_tba.bot
+    assert chain_tba.dia(chain_tba.top) == chain_tba.top
     n = chain_tba.n
     dia, box, le = chain_tba.dia_table, chain_tba.box, chain_tba.le
     join, meet = chain_tba.join, chain_tba.meet
@@ -76,8 +76,8 @@ def test_diamond_laws(chain_tba):
 def test_diamond_on_chain_tba(chain_tba):
     # elements: 0=empty, 1={x}, 2={y}, 3={x,y} with poset x < y
     # diamond adds everything below a member; {y} is above x, so dia {y}=all
-    assert tba.diamond(chain_tba, 2) == 3
-    assert tba.diamond(chain_tba, 1) == 1
+    assert chain_tba.dia(2) == 3
+    assert chain_tba.dia(1) == 1
 
 
 def test_open_elements_and_algebra(chain_tba, identity_tba):

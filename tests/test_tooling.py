@@ -38,3 +38,19 @@ def test_benchmark_functions_exist():
                if not callable(getattr(importlib.import_module(
                    f"twistlab.{module}"), function, None))]
     assert not missing, f"traced functions missing: {', '.join(missing)}"
+
+
+def test_all_names_exist():
+    """Every name in a package module's ``__all__`` is an attribute of that
+    module, so removing a function cannot leave a stale export."""
+    exported, stale = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "twistlab" if path.stem == "__init__" \
+            else f"twistlab.{path.stem}"
+        module = importlib.import_module(name)
+        names = getattr(module, "__all__", ())
+        exported += len(names)
+        stale += [f"{name}.{attr}" for attr in names
+                  if not hasattr(module, attr)]
+    assert exported
+    assert not stale, f"stale exports: {', '.join(stale)}"

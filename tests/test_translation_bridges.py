@@ -102,7 +102,7 @@ def test_twtop_rows_examples(three):
     inst = companions.companion_structure(
         three, frozenset({1, 2}), frozenset({0, 1}))
     corpus = list(fm.axioms("N4BOT")) + [fm.Var("p"), fm.KLEENE_AXIOM]
-    report = inst.twtop(corpus)
+    report = semantics.twtop_check(inst.twist, corpus)
     rows = {phi: (lhs, rhs) for phi, lhs, rhs in report.rows}
     for phi in fm.axioms("N4BOT"):
         assert rows[phi] == (True, True)
