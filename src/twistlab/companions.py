@@ -28,7 +28,7 @@ import numpy as np
 from . import formula as fm
 from . import openpairs, semantics
 from .formula import Formula
-from .heyting import FiniteHeytingAlgebra, _closure, _mask, closure_n, \
+from .heyting import FiniteHeytingAlgebra, _closed_under, _mask, closure_n, \
     dense_filter
 from .order import enumerate_posets, heyting_from_poset
 from .tba import FiniteTBA, open_elements, open_filters, closed_ideals, \
@@ -101,7 +101,8 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
 
     if not satisfies_grz(tba)[0]:
         raise AssertionError("realisation fails the Grzegorczyk axiom")
-    if openpairs.lambda_set(tba, nabla_hat) != open_elements(tba):
+    lam = openpairs.lambda_set(tba, nabla_hat)
+    if lam != open_elements(tba):
         raise AssertionError("lambda set does not exhaust the opens")
 
     delta_closure = closure_n(algebra, delta)
@@ -110,7 +111,7 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
     if set(openpairs.g2(twist)) != image:
         raise AssertionError(
             "open pairs differ from the closed-ideal twist over the source")
-    pairs_algebra = openpairs.open_pairs_algebra(twist)
+    pairs_algebra = openpairs._open_pairs_algebra(twist, lam)
     return CompanionInstance(algebra, nabla, delta, tba, iso, nabla_hat,
                              delta_hat, twist, delta_closure, heyting_twist,
                              pairs_algebra)
@@ -439,8 +440,8 @@ def _check_open_pair_lemmas(report, label, instance):
     if frozenset(s.tolist()) != gam:
         report.fail("l311_4", label)
     gam_mask = _mask(base.n, gam)
-    if not (np.array_equal(_closure(gam_mask, (base.meet, base.join)), gam_mask)
-            and gam_mask[base.bot]):
+    if not (_closed_under(gam_mask, base.meet)
+            and _closed_under(gam_mask, base.join) and gam_mask[base.bot]):
         report.fail("l311_5", label)
     lam = openpairs.lambda_set(base, structure.nabla)  # item 7 inside
     if not lam <= gam:
@@ -449,7 +450,7 @@ def _check_open_pair_lemmas(report, label, instance):
 
     # the two invariant-set descriptions agree (asserted inside)
     try:
-        ng = openpairs.nabla_g(structure)
+        ng = openpairs._nabla_g(structure, lam)
         dg = openpairs.delta_g(structure)
         report.bump("l312_checked")
     except AssertionError:

@@ -69,20 +69,28 @@ def _closure(mask, tables) -> np.ndarray:
         mask = grown
 
 
+def _closed_under(mask, table) -> bool:
+    """Whether the boolean element mask is closed under the binary table,
+    that is, one step of ``_closure`` adds nothing."""
+    idx = np.flatnonzero(mask)
+    return bool(mask[table[idx[:, None], idx]].all())
+
+
 def _is_closed_set(algebra, subset, le, table, within=None) -> bool:
     """Whether the subset is non-empty, inside ``within`` (a mask; default
     the carrier), holds every element of ``within`` above a member along
     ``le``, and is closed under ``table``: a filter for (le, meet), an
     ideal for (le.T, join)."""
     subset = frozenset(subset)
-    if not subset or not subset <= frozenset(range(algebra.n)):
+    elements = range(algebra.n)
+    if not subset or not all(a in elements for a in subset):
         return False
     mask = _mask(algebra.n, subset)
     if within is None:
         within = np.ones(algebra.n, dtype=bool)
     return (not (mask & ~within).any()
             and not (le[mask].any(axis=0) & within & ~mask).any()
-            and np.array_equal(_closure(mask, (table,)), mask))
+            and _closed_under(mask, table))
 
 
 class FiniteHeytingAlgebra:
@@ -249,7 +257,11 @@ def neg(algebra: FiniteHeytingAlgebra, a: int) -> int:
 def dense_filter(algebra: FiniteHeytingAlgebra) -> frozenset:
     """Filter of dense elements; the three standard characterisations
     (negation bot, double negation top, of the form b v -b) are computed
-    independently and must agree."""
+    independently and must agree.  They are compared once per algebra, on
+    the first call, and the filter is kept in the algebra's cache."""
+    cached = algebra._cache.get("dense")
+    if cached is not None:
+        return cached
     neg_t = algebra.neg_table
     by_neg = frozenset(np.flatnonzero(neg_t == algebra.bot).tolist())
     by_dneg = frozenset(np.flatnonzero(neg_t[neg_t] == algebra.top).tolist())
@@ -257,6 +269,7 @@ def dense_filter(algebra: FiniteHeytingAlgebra) -> frozenset:
     by_form = frozenset(np.unique(algebra.join[rng, neg_t]).tolist())
     if not (by_neg == by_dneg == by_form):
         raise AssertionError("dense-element characterisations disagree")
+    algebra._cache["dense"] = by_neg
     return by_neg
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heyting import _closure, _mask
+from .heyting import _closed_under, _mask
 from .tba import _boxed_subalgebra, open_elements
 from .twist import TwistStructure, _apply, _op_tables, tw
 
@@ -55,7 +55,7 @@ def lambda_set(base, nabla) -> frozenset:
         base.join[rng, base.box[base.neg_table]]]
     for name, table in (("meet", base.meet), ("join", base.join),
                         ("implication", base.box[base.imp])):
-        if not np.array_equal(_closure(lam, (table,)), lam):
+        if not _closed_under(lam, table):
             raise AssertionError(f"lambda set not closed under {name}")
     if not lam[base.bot]:
         raise AssertionError("lambda set misses bottom")
@@ -65,13 +65,19 @@ def lambda_set(base, nabla) -> frozenset:
 def nabla_g(structure: TwistStructure) -> frozenset:
     """Joins over the open pairs; must coincide with the filter invariant
     restricted to the opens, to gamma, and to the lambda set."""
+    _require_modal(structure)
+    return _nabla_g(structure, lambda_set(structure.base, structure.nabla))
+
+
+def _nabla_g(structure, lam):
+    """``nabla_g`` given the lambda set of the structure's filter."""
     base = structure.base
     joined = base.join[_open_pairs(structure)]
     by_def = frozenset(np.unique(joined).tolist())
     opens = open_elements(base)
     by_opens = structure.nabla & opens
     by_gamma = structure.nabla & gamma(structure)
-    by_lambda = structure.nabla & lambda_set(base, structure.nabla)
+    by_lambda = structure.nabla & lam
     if not (by_def == by_opens == by_gamma == by_lambda):
         raise AssertionError("filter-invariant characterisations disagree")
     return by_def
@@ -121,9 +127,15 @@ def open_pairs_algebra(structure: TwistStructure) -> TwistStructure:
     to be exactly the open pairs.
     """
     _require_modal(structure)
+    return _open_pairs_algebra(
+        structure, lambda_set(structure.base, structure.nabla))
+
+
+def _open_pairs_algebra(structure, lam):
+    """``open_pairs_algebra`` given the lambda set of the structure's
+    filter."""
     base = structure.base
     gam = gamma(structure)
-    lam = lambda_set(base, structure.nabla)
     if gam != lam:
         missing = sorted(gam - lam) or sorted(lam - gam)
         raise ValueError(
@@ -133,7 +145,7 @@ def open_pairs_algebra(structure: TwistStructure) -> TwistStructure:
     embed = sorted(gam)
     pos = {b: i for i, b in enumerate(embed)}
     sub = _boxed_subalgebra(base, embed)
-    nabla = frozenset(pos[a] for a in nabla_g(structure))
+    nabla = frozenset(pos[a] for a in _nabla_g(structure, lam))
     delta = frozenset(pos[a] for a in delta_g(structure))
     result = tw(sub, nabla, delta)
     expected = {(pos[a], pos[b]) for a, b in g2(structure)}

@@ -585,7 +585,7 @@ def twtop_check(structure: TwistStructure, formulas) -> TwTopReport:
     gamma = openpairs.gamma(structure)
     open_side = None
     if gamma == lam:
-        open_side = openpairs.open_pairs_algebra(structure)
+        open_side = openpairs._open_pairs_algebra(structure, lam)
 
     translated = [fm.belnap_translate(fm.desugar(phi)) for phi in formulas]
     rhs = validity_profile(structure, translated)

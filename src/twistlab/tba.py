@@ -99,15 +99,21 @@ def open_algebra(algebra: FiniteTBA):
 def _boxed_subalgebra(algebra: FiniteTBA, elements) -> FiniteHeytingAlgebra:
     """The checked Heyting algebra on sorted elements closed under meet,
     join and boxed implication (ValueError if they are not); element i is
-    elements[i]."""
-    idx = np.asarray(elements, dtype=np.intp)
+    elements[i].  It is built and checked once per element tuple and kept
+    in the algebra's cache, so its callers share it."""
+    key = tuple(elements)
+    built = algebra._cache.setdefault("boxed", {})
+    if key in built:
+        return built[key]
+    idx = np.asarray(key, dtype=np.intp)
     pos = np.full(algebra.n, -1, dtype=np.intp)
     pos[idx] = np.arange(len(idx), dtype=np.intp)
     rows, cols = idx[:, None], idx[None, :]
-    return FiniteHeytingAlgebra(
+    built[key] = FiniteHeytingAlgebra(
         pos[algebra.meet[rows, cols]], pos[algebra.join[rows, cols]],
         pos[algebra.box[algebra.imp[rows, cols]]],
         bot=pos[algebra.bot]).check()
+    return built[key]
 
 
 def _subset_order(n):

@@ -9,6 +9,8 @@ carrier and determines it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .heyting import FiniteHeytingAlgebra, _mask, dense_filter
@@ -58,12 +60,27 @@ def _apply(tables, kind, x, y=None):
 
 def _closure_failure(member, f, s, tables):
     """The first operation of ``tables`` under which the pairs (f, s) leave
-    the boolean pair matrix ``member``, or None."""
-    x, y = (f[:, None], s[:, None]), (f[None, :], s[None, :])
-    for kind, (first, _, _) in tables.items():
-        value = _apply(tables, kind, (f, s)) if first.ndim == 1 \
-            else _apply(tables, kind, x, y)
-        if not member[value].all():
+    the boolean pair matrix ``member``, or None.  A binary operation reads
+    its raveled base tables at the flat cells x*n + y of two carrier
+    components, built once per (component, component) pair in use."""
+    n = len(member)
+    # int32 indices, since they set the peak memory of a build; a base with
+    # 2**31 cells would not fit in memory anyway
+    parts = (f.astype(np.int32), s.astype(np.int32))
+
+    @functools.cache
+    def cells(i, j):
+        return parts[i][:, None] * n + parts[j]
+
+    flat = member.ravel()
+    for kind, (first, second, side) in tables.items():
+        first, second = (first * n).astype(np.int32), second.astype(np.int32)
+        if first.ndim == 1:
+            cell = first.take(f) + second.take(parts[side])
+        else:
+            cell = first.ravel().take(cells(0, 0))
+            cell += second.ravel().take(cells(side, 1))
+        if not flat.take(cell).all():
             return kind
     return None
 

@@ -284,6 +284,26 @@ def test_one_realisation_per_algebra(chain2):
     assert other == realisation
 
 
+def test_build_facts_cached_per_algebra(posets4_classes):
+    """Over every (nabla, delta) instance of the largest size-4 class, the
+    realisation's cache holds at most one checked boxed subalgebra per open
+    element, every instance's open-pairs algebra lies over that one shared
+    subalgebra, and the dense filter is computed once per algebra."""
+    algebra = max(map(order.heyting_from_poset, posets4_classes),
+                  key=lambda a: a.n)
+    instances = [companion_structure(algebra, nabla, delta)
+                 for nabla in heyting.filters(algebra, require_dense=True)
+                 for delta in heyting.ideals(algebra)]
+    realisation = instances[0].tba
+    boxed = realisation._cache["boxed"]
+    assert 1 <= len(boxed) <= len(tba.open_elements(realisation))
+    bases = {id(inst.open_pairs.base) for inst in instances}
+    assert len(instances) > 1 and len(bases) == 1
+    assert instances[0].open_pairs.base is \
+        boxed[instances[0].open_pairs.embed]
+    assert algebra._cache["dense"] is heyting.dense_filter(algebra)
+
+
 def test_delta_rho_failure_is_reported(monkeypatch, chain2):
     """A broken lifting map is a recorded delta_rho failure that names the
     poset, not an exception that ends the sweep: here delta_map sends

@@ -135,6 +135,21 @@ def test_filters_ideals_against_bruteforce(small_algebras):
             set(heyting.enumerate_ideals_bruteforce(algebra))
 
 
+def test_closed_under_matches_closure_fixpoint(small_algebras):
+    """The one-step closedness test agrees with the closure fixpoint on
+    every element mask of every algebra from a poset of at most 3 points,
+    for each binary table.  is_filter and is_ideal use it, so the
+    brute-force scans above still rest on the definitional check."""
+    for algebra in small_algebras:
+        n = algebra.n
+        bits = 1 << np.arange(n)
+        for code in range(1 << n):
+            mask = (code & bits) != 0
+            for table in (algebra.meet, algebra.join, algebra.imp):
+                assert heyting._closed_under(mask, table) == \
+                    np.array_equal(heyting._closure(mask, (table,)), mask)
+
+
 def test_is_closed_ideal(three):
     assert heyting.is_closed_ideal(three, {0})
     assert not heyting.is_closed_ideal(three, {0, 1})

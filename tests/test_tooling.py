@@ -3,6 +3,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import twistlab
@@ -54,3 +57,49 @@ def test_all_names_exist():
                   if not hasattr(module, attr)]
     assert exported
     assert not stale, f"stale exports: {', '.join(stale)}"
+
+
+# Run under ``python -O``: each check prints what it raised, or "none".
+_OPTIMIZED_CHECKS = """
+import sys
+from twistlab import heyting, order, twist
+
+print("optimize", sys.flags.optimize)
+three = order.heyting_from_poset(order.FinitePoset.from_pairs(
+    2, [(0, 0), (1, 1), (0, 1)]))
+structure = twist.tw(three, {1, 2}, {0, 1})
+member = structure.member.copy()
+member[2, 0] = False
+structure.member = member
+imp = three.imp.copy()
+imp[1, 0] = 1
+broken = heyting.FiniteHeytingAlgebra(three.meet, three.join, imp, bot=0)
+for check in (lambda: twist._verify(structure),
+              lambda: heyting.dense_filter(broken),
+              lambda: heyting.dense_filter(broken)):
+    try:
+        check()
+        print("none")
+    except AssertionError as exc:
+        print("AssertionError", exc)
+"""
+
+
+def test_checks_raise_under_optimize():
+    """Aim 3: the build checks raise under ``python -O`` too.  A carrier
+    with a pair dropped from its membership matrix fails _verify, and an
+    algebra whose dense-element characterisations disagree fails
+    dense_filter on its first call, and again on the next (nothing was
+    cached)."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "optimize 1",
+        "AssertionError carrier not closed under and",
+        "AssertionError dense-element characterisations disagree",
+        "AssertionError dense-element characterisations disagree",
+    ]

@@ -1,6 +1,10 @@
+import copy
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistlab import heyting, order, tba, twist
 from twistlab.twist import full_twist, nabla_of, delta_of, tw, twist_apply
@@ -138,3 +142,71 @@ def test_membership_and_index(kleene_twist):
     assert kleene_twist.index((2, 1)) == 6
     with pytest.raises(ValueError):
         kleene_twist.index((2, 2))
+
+
+# Bases of the closure-check oracle: every algebra from a poset of at most
+# 3 points with its (dense filter, ideal) pairs, and every TBA of a 2-point
+# poset with its (open filter, closed ideal) pairs.
+_ORACLE_BASES = [
+    (algebra, heyting.filters(algebra, require_dense=True),
+     heyting.ideals(algebra))
+    for algebra in map(order.heyting_from_poset, order.enumerate_posets(3))
+] + [
+    (algebra, tba.open_filters(algebra), tba.closed_ideals(algebra))
+    for algebra in map(tba.powerset_tba, order.enumerate_posets(2))
+]
+
+
+def slow_closure_failure(member, pairs, tables):
+    """Plain-loop closure check: the first operation of ``tables``
+    (twist_apply's tables), in their order, that sends a pair, or two pairs,
+    of ``pairs`` outside the boolean pair matrix ``member``, or None."""
+    for kind, (first, second, side) in tables.items():
+        first, second = first.tolist(), second.tolist()
+        for x in pairs:
+            if not isinstance(first[0], list):
+                if not member[first[x[0]], second[x[side]]]:
+                    return kind
+                continue
+            for y in pairs:
+                if not member[first[x[0]][y[0]], second[x[side]][y[1]]]:
+                    return kind
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.data())
+def test_closure_failure_matches_loop(data):
+    """On a twist with one pair dropped from its membership matrix, and on
+    one with that pair dropped from its carrier, the flat-cell closure check
+    names the same first failing operation as a plain loop, for all the
+    operations together and for each alone, and _verify raises naming it."""
+    base, nablas, deltas = data.draw(st.sampled_from(_ORACLE_BASES))
+    structure = tw(base, data.draw(st.sampled_from(nablas)),
+                   data.draw(st.sampled_from(deltas)))
+    pairs = structure.pairs
+    hole = data.draw(st.sampled_from(pairs))
+    tables = twist._op_tables(base)
+    f, s = structure.firsts, structure.seconds
+    assert twist._closure_failure(structure.member, f, s, tables) is None
+
+    holed = copy.copy(structure)
+    holed.member = structure.member.copy()
+    holed.member[hole] = False
+    keep = np.array([pair != hole for pair in pairs])
+    shrunk = twist.TwistStructure(base, structure.nabla, structure.delta,
+                                  f[keep], s[keep])
+    for broken in (holed, shrunk):
+        member, carrier = broken.member, broken.pairs
+        bf, bs = broken.firsts, broken.seconds
+        want = slow_closure_failure(member, carrier, tables)
+        assert twist._closure_failure(member, bf, bs, tables) == want
+        for kind in tables:
+            one = {kind: tables[kind]}
+            assert twist._closure_failure(member, bf, bs, one) == \
+                slow_closure_failure(member, carrier, one)
+        if want is not None and set(bf.tolist()) == set(range(base.n)):
+            with pytest.raises(AssertionError,
+                               match=f"^carrier not closed under {want}$"):
+                twist._verify(broken)
+    assert slow_closure_failure(holed.member, pairs, tables) == "and"
