@@ -101,8 +101,7 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
 
     if not satisfies_grz(tba)[0]:
         raise AssertionError("realisation fails the Grzegorczyk axiom")
-    lam = openpairs.lambda_set(tba, nabla_hat)
-    if lam != open_elements(tba):
+    if openpairs.lambda_set(tba, nabla_hat) != open_elements(tba):
         raise AssertionError("lambda set does not exhaust the opens")
 
     delta_closure = closure_n(algebra, delta)
@@ -111,7 +110,7 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
     if set(openpairs.g2(twist)) != image:
         raise AssertionError(
             "open pairs differ from the closed-ideal twist over the source")
-    pairs_algebra = openpairs._open_pairs_algebra(twist, lam)
+    pairs_algebra = openpairs.open_pairs_algebra(twist)
     return CompanionInstance(algebra, nabla, delta, tba, iso, nabla_hat,
                              delta_hat, twist, delta_closure, heyting_twist,
                              pairs_algebra)
@@ -450,7 +449,7 @@ def _check_open_pair_lemmas(report, label, instance):
 
     # the two invariant-set descriptions agree (asserted inside)
     try:
-        ng = openpairs._nabla_g(structure, lam)
+        openpairs.nabla_g(structure)
         dg = openpairs.delta_g(structure)
         report.bump("l312_checked")
     except AssertionError:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .heyting import _closed_under, _mask
 from .tba import _boxed_subalgebra, open_elements
-from .twist import TwistStructure, _apply, _op_tables, tw
+from .twist import TwistStructure, _op_tables, tw
 
 __all__ = [
     "g2", "gamma", "lambda_set", "nabla_g", "delta_g",
@@ -48,8 +48,14 @@ def lambda_set(base, nabla) -> frozenset:
     """Open elements a with a v box(not a) in nabla.
 
     Verified to be a subalgebra of the open algebra (meet, join, boxed
-    implication, bottom).
+    implication, bottom) once per (base, nabla): a verified set is kept in
+    the base's cache, for at most base.n filters (an open filter is the
+    up-set of an open element), and a set that fails is never kept.
     """
+    nabla = frozenset(nabla)
+    kept = base._cache.setdefault("lambda", {})
+    if nabla in kept:
+        return kept[nabla]
     rng = np.arange(base.n, dtype=np.intp)
     lam = base.open_mask() & _mask(base.n, nabla)[
         base.join[rng, base.box[base.neg_table]]]
@@ -59,25 +65,21 @@ def lambda_set(base, nabla) -> frozenset:
             raise AssertionError(f"lambda set not closed under {name}")
     if not lam[base.bot]:
         raise AssertionError("lambda set misses bottom")
-    return frozenset(np.flatnonzero(lam).tolist())
+    lam = frozenset(np.flatnonzero(lam).tolist())
+    if len(kept) < base.n:
+        kept[nabla] = lam
+    return lam
 
 
 def nabla_g(structure: TwistStructure) -> frozenset:
     """Joins over the open pairs; must coincide with the filter invariant
     restricted to the opens, to gamma, and to the lambda set."""
-    _require_modal(structure)
-    return _nabla_g(structure, lambda_set(structure.base, structure.nabla))
-
-
-def _nabla_g(structure, lam):
-    """``nabla_g`` given the lambda set of the structure's filter."""
     base = structure.base
     joined = base.join[_open_pairs(structure)]
     by_def = frozenset(np.unique(joined).tolist())
-    opens = open_elements(base)
-    by_opens = structure.nabla & opens
+    by_opens = structure.nabla & open_elements(base)
     by_gamma = structure.nabla & gamma(structure)
-    by_lambda = structure.nabla & lam
+    by_lambda = structure.nabla & lambda_set(base, structure.nabla)
     if not (by_def == by_opens == by_gamma == by_lambda):
         raise AssertionError("filter-invariant characterisations disagree")
     return by_def
@@ -104,8 +106,9 @@ def gamma_imp_closure_equiv(structure: TwistStructure):
     lhs = gamma(structure) <= lambda_set(base, structure.nabla)
 
     f, s = _open_pairs(structure)
-    rf, rs = _apply(_op_tables(base), "imp", (f[:, None], s[:, None]),
-                    (f[None, :], s[None, :]))
+    first, second, side = _op_tables(base)["imp"]
+    rf = first[f[:, None], f]
+    rs = second[(f, s)[side][:, None], s]
     rhs = bool(structure.member[base.box[rf], rs].all())
     return lhs, rhs
 
@@ -126,16 +129,9 @@ def open_pairs_algebra(structure: TwistStructure) -> TwistStructure:
     its base indices back into the ambient TBA, and its carrier is checked
     to be exactly the open pairs.
     """
-    _require_modal(structure)
-    return _open_pairs_algebra(
-        structure, lambda_set(structure.base, structure.nabla))
-
-
-def _open_pairs_algebra(structure, lam):
-    """``open_pairs_algebra`` given the lambda set of the structure's
-    filter."""
     base = structure.base
     gam = gamma(structure)
+    lam = lambda_set(base, structure.nabla)
     if gam != lam:
         missing = sorted(gam - lam) or sorted(lam - gam)
         raise ValueError(
@@ -145,7 +141,7 @@ def _open_pairs_algebra(structure, lam):
     embed = sorted(gam)
     pos = {b: i for i, b in enumerate(embed)}
     sub = _boxed_subalgebra(base, embed)
-    nabla = frozenset(pos[a] for a in _nabla_g(structure, lam))
+    nabla = frozenset(pos[a] for a in nabla_g(structure))
     delta = frozenset(pos[a] for a in delta_g(structure))
     result = tw(sub, nabla, delta)
     expected = {(pos[a], pos[b]) for a, b in g2(structure)}

@@ -1,22 +1,29 @@
 """Valuations, evaluation and validity over algebras and twist-structures.
 
+Values are evaluated one component at a time.  Over a twist the first
+component of a value is built from first components alone, by the base's
+own operations; only strong negation reads the other component of its
+argument.  Validity compares first components with top, so a scan
+computes second components only below a strong negation, and over an
+algebra, whose elements are its one component, never.
+
 Validity is decided by exhausting every valuation of the variables that
 occur in the formula, rows of a lexicographic grid: with k variables over
 m values, row r gives variable i the value r // m**(k-1-i) % m.  The grid
 is broadcast, not materialised.  The trailing t variables, the most whose
 m**t valuations fit in the first chunk, are arange(m) axes; only the
 leading k - t are columns, over the prefixes of the rows scanned.  So a
-subformula's value is only as large as the variables it mentions, and
-any value flattened in C order lists its rows in order.
+component is only as large as the variables it mentions, and any
+component flattened in C order lists its rows in order.
 
 One scan, _first_refutations, serves is_valid and validity_profile: each
 subformula is evaluated over a chunk of the grid at once, the chunks
 whole blocks of m**t rows, so that a refuted formula is abandoned after
 the chunk that refutes it, and each chunk's verdicts come from one
 reduction.  Formulas without strong negation are decided on the base
-algebra of a twist-structure instead of on its pairs (the first
-projection commutes with all positive connectives, which pi1_commutes
-verifies exhaustively); the reported witness is identical.
+algebra of a twist-structure instead of on its pairs (their first
+components never read a second one, which pi1_commutes verifies
+exhaustively); the reported witness is identical.
 
 validity_table decides a batch over every twist on one finite base at
 once: tw(base, up(f), down(d)) is the sub-twist of the full twist on the
@@ -42,7 +49,6 @@ from .twist import TwistStructure, _op_tables, full_twist
 __all__ = [
     "LanguageError", "CapExceededError", "ValidityResult",
     "evaluate", "is_valid", "validity_profile", "validity_table",
-    "models_axioms",
     "enumerate_formulas", "default_corpus", "twtop_check", "TwTopReport",
     "pi1_commutes",
 ]
@@ -108,58 +114,57 @@ _MEMO_HEIGHT = 3
 
 
 class _Vec:
-    """Evaluates formulas over a broadcast grid of valuations.
+    """Evaluates formulas over a broadcast grid of valuations, one
+    component at a time.
 
-    Values are (firsts, seconds) pairs of index arrays that broadcast to
-    ``shape``, each with a real axis only for the variables it mentions
-    (bot is a pair of plain indices); over an algebra the second
-    component is None, since the first components follow the algebra's
-    own tables.  Small subformulas are memoised by identity (formulas are
-    interned), which turns a corpus sharing subterms into a DAG sweep.
-    It returns values only; _first_refutations compares first components
-    with top.
+    ``assign`` maps each variable to the components of its value:
+    (firsts, seconds) over a twist, (elements,) over an algebra.
+    eval(phi, c) is component c of phi's value, an index array that
+    broadcasts to ``shape`` with a real axis only for the variables it
+    mentions (bot's is a plain index).  Component 0 reads components 0
+    only, so an algebra is only asked for it; strong negation reads the
+    other component of its argument.  Small subformulas are memoised by
+    (identity, component) (formulas are interned), which turns a corpus
+    sharing subterms into a DAG sweep.
     """
 
     def __init__(self, structure, assign, shape=()):
-        self.twist = _is_twist(structure)
-        self.base = structure.base if self.twist else structure
+        self.base = structure.base if _is_twist(structure) else structure
         self.ops = _op_tables(self.base)
         self.assign = assign
         self.shape = shape
-        self.memo = {}
+        self.memo = ({}, {})
 
-    def eval(self, phi):
+    def eval(self, phi, c):
         if phi.height <= _MEMO_HEIGHT:
-            hit = self.memo.get(id(phi))
-            if hit is not None:
-                return hit
-            value = self._compute(phi)
-            self.memo[id(phi)] = value
-            return value
-        return self._compute(phi)
+            memo = self.memo[c]
+            hit = memo.get(id(phi))
+            if hit is None:
+                hit = memo[id(phi)] = self._compute(phi, c)
+            return hit
+        return self._compute(phi, c)
 
-    def _compute(self, phi):
-        # the table is read inline: calling twist._apply costs a call a node
+    def _compute(self, phi, c):
         kind = phi.kind
         if kind == "var":
             try:
-                return self.assign[phi.name]
+                return self.assign[phi.name][c]
             except KeyError:
                 raise KeyError(f"unbound variable {phi.name!r}") from None
         if kind == "bot":
-            return (self.base.bot, self.base.top if self.twist else None)
-        x = self.eval(phi.args[0])
+            return self.base.top if c else self.base.bot
         if kind == "sneg":
-            return (x[1], x[0])
+            return self.eval(phi.args[0], 1 - c)
         try:
             first, second, side = self.ops[kind]
         except KeyError:
             raise LanguageError(f"cannot interpret {kind!r} here") from None
+        # a second component reads the first argument's ``side``
+        x = self.eval(phi.args[0], side if c else 0)
+        table = second if c else first
         if len(phi.args) == 1:
-            return (first[x[0]], second[x[side]] if self.twist else None)
-        y = self.eval(phi.args[1])
-        return (first[x[0], y[0]],
-                second[x[side], y[1]] if self.twist else None)
+            return table[x]
+        return table[x, self.eval(phi.args[1], c)]
 
 
 def _var_grid(m, k, rows):
@@ -202,7 +207,7 @@ def _grid_vec(structure, names, lo, hi):
         f, s = structure.firsts, structure.seconds
         assign = {name: (f[c], s[c]) for name, c in zip(names, cols)}
     else:
-        assign = {name: (c, None) for name, c in zip(names, cols)}
+        assign = {name: (c,) for name, c in zip(names, cols)}
     return _Vec(structure, assign, shape)
 
 
@@ -241,11 +246,11 @@ def evaluate(structure, phi: Formula, valuation: dict):
             value = int(value)
             if not 0 <= value < structure.n:
                 raise ValueError(f"element {value} out of range")
-            assign[name] = (value, None)
-    first, second = _Vec(structure, assign).eval(psi)
+            assign[name] = (value,)
+    ev = _Vec(structure, assign)
     if twist:
-        return (int(first), int(second))
-    return int(first)
+        return (int(ev.eval(psi, 0)), int(ev.eval(psi, 1)))
+    return int(ev.eval(psi, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +311,7 @@ def _first_refutations(structure, names, psis, lo, hi):
             batch = pending[start:start + step]
             rows = bad[:len(batch)]
             for grid, i in zip(grids, batch):
-                np.not_equal(ev.eval(psis[i])[0], top, out=grid)
+                np.not_equal(ev.eval(psis[i], 0), top, out=grid)
             # argmax is 0 for a refutation at the chunk's first row and
             # for none at all: the first column tells them apart
             for i, offset, at_first in zip(batch,
@@ -423,7 +428,7 @@ def _refutation_counts(structure, names, psis, total):
         cells = np.broadcast_to(meet_of_joins * n + join_of_meets, ev.shape)
         refuted = np.empty(ev.shape, dtype=bool)
         for row, psi in zip(counts, psis):
-            np.not_equal(ev.eval(psi)[0], top, out=refuted)
+            np.not_equal(ev.eval(psi, 0), top, out=refuted)
             row += np.bincount(cells[refuted], minlength=n * n)
         del ev, cells, refuted  # freed before the next grid is built
     return counts.reshape(len(psis), n, n)
@@ -464,14 +469,6 @@ def validity_table(base, formulas) -> np.ndarray:
                 _grid_size(structure.size, len(names)))
             valid[members] = (le @ counts @ le) == 0
     return valid
-
-
-def models_axioms(structure, name: str):
-    """Check a named axiom set; returns (all_valid, first_failing)."""
-    for phi in fm.axioms(name):
-        if not is_valid(structure, phi).valid:
-            return False, phi
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +582,7 @@ def twtop_check(structure: TwistStructure, formulas) -> TwTopReport:
     gamma = openpairs.gamma(structure)
     open_side = None
     if gamma == lam:
-        open_side = openpairs._open_pairs_algebra(structure, lam)
+        open_side = openpairs.open_pairs_algebra(structure)
 
     translated = [fm.belnap_translate(fm.desugar(phi)) for phi in formulas]
     rhs = validity_profile(structure, translated)
@@ -611,9 +608,9 @@ def pi1_commutes(structure: TwistStructure, psi: Formula) -> bool:
     m, k = structure.size, len(names)
     for lo, hi in _chunks(0, _grid_size(m, k), m ** _tail(m, k)):
         ev = _grid_vec(structure, names, lo, hi)
-        base_assign = {nm: (f, None) for nm, (f, _) in ev.assign.items()}
-        base_val = _Vec(structure.base, base_assign).eval(phi)[0]
-        if not np.all(ev.eval(phi)[0] == base_val):
+        base_assign = {nm: (f,) for nm, (f, _) in ev.assign.items()}
+        base_val = _Vec(structure.base, base_assign).eval(phi, 0)
+        if not np.all(ev.eval(phi, 0) == base_val):
             return False
         del ev, base_assign, base_val  # freed before the next grid is built
     return True

@@ -17,8 +17,7 @@ from .heyting import FiniteHeytingAlgebra, _mask, dense_filter
 from .tba import FiniteTBA, _is_closed_ideal_tba, _is_open_filter
 
 __all__ = [
-    "TwistStructure", "tw", "full_twist", "twist_apply",
-    "nabla_of", "delta_of",
+    "TwistStructure", "tw", "full_twist", "nabla_of", "delta_of",
 ]
 
 # The twist operations: connective -> (base table of the first component,
@@ -28,6 +27,8 @@ __all__ = [
 # tables.  The second component is the dual operation on the second
 # components, except that the second component of x -> y is
 # first(x) ^ second(y).  ~ swaps the components and bot is (bot, top).
+# Read, through _op_tables, by semantics._Vec, one component at a time, and
+# by _closure_failure, both components of every carrier pair at once.
 _OPERATIONS = {
     "and": ("meet", "join", 1),
     "or": ("join", "meet", 1),
@@ -47,15 +48,6 @@ def _op_tables(base):
                   if hasattr(base, first)}
         base._cache["ops"] = tables
     return tables
-
-
-def _apply(tables, kind, x, y=None):
-    """One twist operation on pair values x (and y) whose components are
-    element indices or broadcastable index arrays."""
-    first, second, side = tables[kind]
-    if y is None:
-        return first[x[0]], second[x[side]]
-    return first[x[0], y[0]], second[x[side], y[1]]
 
 
 def _closure_failure(member, f, s, tables):
@@ -187,26 +179,6 @@ def _verify(structure):
         raise AssertionError("carrier not closed under strong negation")
     if not member[base.bot, base.top]:
         raise AssertionError("bottom pair missing from carrier")
-
-
-def twist_apply(structure: TwistStructure, op: str, *args):
-    """Apply one twist operation to carrier pairs, returning a pair."""
-    base = structure.base
-    for pair in args:
-        if pair not in structure:
-            raise ValueError(f"pair {pair} not in carrier")
-    if op in ("box", "dia") and not structure.modal:
-        raise ValueError(f"{op} requires a TBA base")
-    if op == "bot":
-        return (base.bot, base.top)
-    if op == "snot":
-        (a, b), = args
-        return (b, a)
-    tables = _op_tables(base)
-    if op not in tables:
-        raise ValueError(f"unknown operation {op!r}")
-    first, second = _apply(tables, op, *args)
-    return (int(first), int(second))
 
 
 def nabla_of(structure: TwistStructure) -> frozenset:

@@ -1,6 +1,7 @@
 import pytest
 
-from twistlab import companions, heyting, openpairs, order, tba, twist
+from twistlab import companions, heyting, openpairs, order, semantics, tba, \
+    twist
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +189,30 @@ def test_grz_and_lambda_imply_box_pair_closed():
             for delta in tba.closed_ideals(algebra):
                 structure = twist.tw(algebra, nabla, delta)
                 assert openpairs.box_pair_closed(structure)
+
+
+def test_lambda_set_checked_once_per_filter(monkeypatch):
+    """Over a sweep the lambda set's closure check runs once per distinct
+    (realisation, filter), although companion_structure, the open-pair
+    lemmas and gamma_imp_closure_equiv each ask for it per instance; each
+    realisation keeps at most one set per element."""
+    inputs, checks = [], []
+    lambda_set, closed_under = openpairs.lambda_set, openpairs._closed_under
+
+    def spy_lambda(base, nabla):
+        inputs.append((base, frozenset(nabla)))  # keeps each base's id
+        return lambda_set(base, nabla)
+
+    def spy_closed(mask, table):
+        checks.append(table)
+        return closed_under(mask, table)
+
+    monkeypatch.setattr(openpairs, "lambda_set", spy_lambda)
+    monkeypatch.setattr(openpairs, "_closed_under", spy_closed)
+    report = companions.pipeline_sweep(
+        max_size=2, corpus=semantics.default_corpus(20), sharp_min=10)
+    assert report.ok
+    distinct = {(id(base), nabla) for base, nabla in inputs}
+    assert len(inputs) >= 3 * report.instances > len(distinct)
+    assert len(checks) == 3 * len(distinct)  # meet, join, implication
+    assert all(len(base._cache["lambda"]) <= base.n for base, _ in inputs)

@@ -62,7 +62,7 @@ def test_all_names_exist():
 # Run under ``python -O``: each check prints what it raised, or "none".
 _OPTIMIZED_CHECKS = """
 import sys
-from twistlab import heyting, order, twist
+from twistlab import heyting, openpairs, order, tba, twist
 
 print("optimize", sys.flags.optimize)
 three = order.heyting_from_poset(order.FinitePoset.from_pairs(
@@ -74,9 +74,13 @@ structure.member = member
 imp = three.imp.copy()
 imp[1, 0] = 1
 broken = heyting.FiniteHeytingAlgebra(three.meet, three.join, imp, bot=0)
+alexandrov = tba.powerset_tba(order.FinitePoset.from_pairs(
+    2, [(0, 0), (1, 1), (0, 1)]))
 for check in (lambda: twist._verify(structure),
               lambda: heyting.dense_filter(broken),
-              lambda: heyting.dense_filter(broken)):
+              lambda: heyting.dense_filter(broken),
+              lambda: openpairs.lambda_set(alexandrov, {2}),
+              lambda: openpairs.lambda_set(alexandrov, {2})):
     try:
         check()
         print("none")
@@ -90,7 +94,8 @@ def test_checks_raise_under_optimize():
     with a pair dropped from its membership matrix fails _verify, and an
     algebra whose dense-element characterisations disagree fails
     dense_filter on its first call, and again on the next (nothing was
-    cached)."""
+    cached); so does the lambda set of the non-filter {2} of the 2-chain's
+    powerset algebra, which is not closed under boxed implication."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
@@ -102,4 +107,6 @@ def test_checks_raise_under_optimize():
         "AssertionError carrier not closed under and",
         "AssertionError dense-element characterisations disagree",
         "AssertionError dense-element characterisations disagree",
+        "AssertionError lambda set not closed under implication",
+        "AssertionError lambda set not closed under implication",
     ]

@@ -7,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import heyting, order, tba, twist
-from twistlab.twist import full_twist, nabla_of, delta_of, tw, twist_apply
+from twistlab.formula import And, Bot, Box, Dia, Imp, Or, SNeg, Var
+from twistlab.semantics import evaluate
+from twistlab.twist import full_twist, nabla_of, delta_of, tw
+
+ARGS = (Var("p"), Var("q"))
+
+
+def apply_op(structure, op, *pairs):
+    "One twist operation on carrier pairs, through evaluate."
+    return evaluate(structure, op(*ARGS[:len(pairs)]),
+                    dict(zip("pq", pairs)))
 
 
 def all_twists(algebra):
@@ -65,25 +75,25 @@ def test_tw_precondition_errors(three, bool4):
         tw(algebra, frozenset({3}), frozenset({0, 2}))  # dia(2)=3 missing
 
 
-def test_twist_apply_tables(kleene_twist):
-    assert twist_apply(kleene_twist, "snot", (1, 2)) == (2, 1)
-    assert twist_apply(kleene_twist, "imp", (1, 2), (0, 1)) == (0, 1)
-    assert twist_apply(kleene_twist, "and", (1, 2), (2, 0)) == (1, 2)
-    assert twist_apply(kleene_twist, "or", (1, 0), (0, 2)) == (1, 0)
-    assert twist_apply(kleene_twist, "bot") == (0, 2)
+def test_operation_tables(kleene_twist):
+    assert apply_op(kleene_twist, SNeg, (1, 2)) == (2, 1)
+    assert apply_op(kleene_twist, Imp, (1, 2), (0, 1)) == (0, 1)
+    assert apply_op(kleene_twist, And, (1, 2), (2, 0)) == (1, 2)
+    assert apply_op(kleene_twist, Or, (1, 0), (0, 2)) == (1, 0)
+    assert evaluate(kleene_twist, Bot, {}) == (0, 2)
     with pytest.raises(ValueError, match="TBA"):
-        twist_apply(kleene_twist, "box", (1, 2))
+        apply_op(kleene_twist, Box, (1, 2))
     with pytest.raises(ValueError, match="carrier"):
-        twist_apply(kleene_twist, "snot", (2, 2))
+        apply_op(kleene_twist, SNeg, (2, 2))
 
 
-def test_twist_apply_modal(chain2):
+def test_modal_operation_tables(chain2):
     algebra = tba.powerset_tba(chain2)
     structure = full_twist(algebra)
     for a, b in structure.pairs:
-        assert twist_apply(structure, "box", (a, b)) == (
+        assert apply_op(structure, Box, (a, b)) == (
             int(algebra.box[a]), int(algebra.dia_table[b]))
-        assert twist_apply(structure, "dia", (a, b)) == (
+        assert apply_op(structure, Dia, (a, b)) == (
             int(algebra.dia_table[a]), int(algebra.box[b]))
 
 
@@ -106,10 +116,10 @@ def test_reconstruction_and_closure_small():
             assert rebuilt.pairs == structure.pairs
             pairs = structure.pairs
             for x, y in itertools.product(pairs, repeat=2):
-                for op in ("and", "or", "imp"):
-                    assert twist_apply(structure, op, x, y) in structure
+                for op in (And, Or, Imp):
+                    assert apply_op(structure, op, x, y) in structure
             for x in pairs:
-                assert twist_apply(structure, "snot", x) in structure
+                assert apply_op(structure, SNeg, x) in structure
 
 
 def test_modal_closure_small():
@@ -117,8 +127,8 @@ def test_modal_closure_small():
         algebra = tba.powerset_tba(poset)
         for structure in all_modal_twists(algebra):
             for x in structure.pairs:
-                assert twist_apply(structure, "box", x) in structure
-                assert twist_apply(structure, "dia", x) in structure
+                assert apply_op(structure, Box, x) in structure
+                assert apply_op(structure, Dia, x) in structure
             rebuilt = tw(algebra, nabla_of(structure), delta_of(structure))
             assert rebuilt.pairs == structure.pairs
 
@@ -159,8 +169,8 @@ _ORACLE_BASES = [
 
 def slow_closure_failure(member, pairs, tables):
     """Plain-loop closure check: the first operation of ``tables``
-    (twist_apply's tables), in their order, that sends a pair, or two pairs,
-    of ``pairs`` outside the boolean pair matrix ``member``, or None."""
+    (_op_tables), in their order, that sends a pair, or two pairs, of
+    ``pairs`` outside the boolean pair matrix ``member``, or None."""
     for kind, (first, second, side) in tables.items():
         first, second = first.tolist(), second.tolist()
         for x in pairs:
