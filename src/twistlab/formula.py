@@ -55,17 +55,21 @@ class Formula:
     ``height``  tree height (variables and bot are 0);
     ``free``    frozenset of the variable names occurring in it;
     ``flags``   bitmask of HAS_SNEG, HAS_MODAL, HAS_DIA and HAS_SUGAR,
-                set when such a connective occurs anywhere in the tree.
+                set when such a connective occurs anywhere in the tree;
+    ``reads``   (literals of the node, literals of its strong negation):
+                frozensets of (name, 0) for a literal p and (name, 1) for
+                ~p, in the strong-negation normal form (_reads).
     """
 
-    __slots__ = ("kind", "args", "height", "free", "flags", "_hash")
+    __slots__ = ("kind", "args", "height", "free", "flags", "reads", "_hash")
 
-    def __init__(self, kind, args, height, free, flags, hashv):
+    def __init__(self, kind, args, height, free, flags, reads, hashv):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "reads", reads)
         object.__setattr__(self, "_hash", hashv)
 
     def __setattr__(self, name, value):
@@ -96,7 +100,40 @@ class Formula:
 
 
 _interned: dict = {}
-_free_sets: dict = {}  # one shared frozenset per distinct variable set
+_sets: dict = {}  # one shared frozenset per distinct set a node stores
+
+
+def _shared(items):
+    return _sets.setdefault(items, items)
+
+
+def _reads(kind, args):
+    """The literals of the strong-negation normal form of a node and of
+    its strong negation, from its arguments'.  ~ is pushed down by
+    ~(x & y) = ~x | ~y, ~(x | y) = ~x & ~y, ~(x -> y) = x & ~y,
+    ~[]x = <>~x, ~<>x = []~x and ~~x = x (sugar as it desugars, ~bot
+    stays); so ~ swaps a node's pair, and only the literals of ~(x -> y)
+    take x's own."""
+    if kind == "var":
+        return (_shared(frozenset({(args[0], 0)})),
+                _shared(frozenset({(args[0], 1)})))
+    if not args:
+        return _shared(frozenset()), _shared(frozenset())
+    x0, x1 = args[0].reads
+    if kind == "sneg":
+        return x1, x0
+    if kind == "neg":  # ~(x -> bot) is x & ~bot
+        return x0, x0
+    if len(args) == 1:  # box, dia
+        return x0, x1
+    y0, y1 = args[1].reads
+    own = _shared(x0 | y0)
+    if kind == "imp":
+        return own, _shared(x0 | y1)
+    if kind in ("and", "or"):
+        return own, _shared(x1 | y1)
+    both = _shared(own | x1 | y1)  # iff, siff
+    return (both if kind == "siff" else own), both
 
 
 def _make(kind, args):
@@ -114,8 +151,8 @@ def _make(kind, args):
         for a in args:
             flags |= a.flags
         hashv = hash((kind,) + tuple(a._hash for a in args))
-    free = _free_sets.setdefault(free, free)
-    node = Formula(kind, args, height, free, flags, hashv)
+    node = Formula(kind, args, height, _shared(free), flags,
+                   _reads(kind, args), hashv)
     _interned[key] = node
     return node
 

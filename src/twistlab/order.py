@@ -3,6 +3,16 @@
 Elements are 0..n-1; the order relation is kept as one bitmask per element
 (``up[i]`` has bit j set when i <= j).  Subsets of the carrier are plain
 bitmask ints throughout.
+
+``up_sets`` is the reference enumeration of the up-sets: a plain filter
+over all subsets, in (popcount, value) order.  No builder calls it.
+``heyting_from_poset`` builds its algebra through ``tba.powerset_tba`` and
+lists the up-sets in the same order; in ``test_order``,
+``test_birkhoff_round_trip_small`` and
+``test_birkhoff_round_trip_size5_classes`` index its elements by
+``up_sets``, and ``test_up_sets_examples``,
+``test_up_sets_against_bruteforce`` and ``test_up_sets_lattice_closure``
+check ``up_sets`` itself.
 """
 
 from __future__ import annotations

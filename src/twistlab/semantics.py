@@ -3,38 +3,56 @@
 Values are evaluated one component at a time.  Over a twist the first
 component of a value is built from first components alone, by the base's
 own operations; only strong negation reads the other component of its
-argument.  Validity compares first components with top, so a scan
-computes second components only below a strong negation, and over an
-algebra, whose elements are its one component, never.
+argument.  Pushing ~ down to the variables says which: component c of
+phi's value reads component j of variable p exactly when (p, j) is in
+phi.reads[c] (formula._reads).  Validity compares first components with
+top, so a scan computes second components only below a strong negation,
+and over an algebra, whose elements are its one component, never.
 
-Validity is decided by exhausting every valuation of the variables that
-occur in the formula, rows of a lexicographic grid: with k variables over
-m values, row r gives variable i the value r // m**(k-1-i) % m.  The grid
-is broadcast, not materialised.  The trailing t variables, the most whose
-m**t valuations fit in the first chunk, are arange(m) axes; only the
-leading k - t are columns, over the prefixes of the rows scanned.  So a
-component is only as large as the variables it mentions, and any
-component flattened in C order lists its rows in order.
+Validity is decided by exhausting the valuations of the variables that
+occur in the formula, each over a domain given by what phi.reads[0]
+reads of it:
+
+* both components: every carrier pair;
+* the first component only, or the second only: one representative pair
+  per base element, the least-indexed carrier pair with that component.
+  The first projection of a twist is onto the base, and so is the second,
+  since ~ swaps the components, so the representatives take every value
+  that is read;
+* over an algebra: every element.
+
+Each domain lists its pairs in carrier order, and the valuations are the
+rows of a mixed-radix lexicographic grid: with widths w_0..w_{k-1}, row r
+gives variable i position r // (w_{i+1} * ... * w_{k-1}) % w_i of its
+domain.  The least refuting row is also the least witness over every
+pair: replacing each variable's pair by its representative keeps the
+value and lowers no position, so the least refuting valuation of the
+full grid is made of representatives, which the domains list in carrier
+order.  The valuation cap, TWISTLAB_VALUATION_CAP (default 10**7), bounds
+the rows of the grid actually scanned.
+
+The grid is broadcast, not materialised.  The trailing t variables, the
+most whose product of widths fits in the first chunk, are axes holding
+their whole domains; only the leading k - t are columns, over the
+prefixes of the rows scanned.  So a component is only as large as the variables it mentions,
+and any component flattened in C order lists its rows in order.
 
 One scan, _first_refutations, serves is_valid and validity_profile: each
 subformula is evaluated over a chunk of the grid at once, the chunks
-whole blocks of m**t rows, so that a refuted formula is abandoned after
-the chunk that refutes it, and each chunk's verdicts come from one
-reduction.  Formulas without strong negation are decided on the base
-algebra of a twist-structure instead of on its pairs (their first
-components never read a second one, which pi1_commutes verifies
-exhaustively); the reported witness is identical.
+whole blocks of the trailing rows, so that a refuted formula is abandoned
+after the chunk that refutes it, and each chunk's verdicts come from one
+reduction.
 
 validity_table decides a batch over every twist on one finite base at
 once: tw(base, up(f), down(d)) is the sub-twist of the full twist on the
 pairs with f <= a v b and a ^ b <= d, so one pass over the full twist's
-grid, counting refutations by where they fall, gives the verdicts of
-every (f, d).  The number of valuations of any scan is capped by
-TWISTLAB_VALUATION_CAP (default 10**7).
+grid, with every variable over every pair, counting refutations by where
+they fall, gives the verdicts of every (f, d).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -67,8 +85,13 @@ class CapExceededError(RuntimeError):
 
 
 def _grid_size(m, k):
-    """Rows of the grid of k variables over m values, refused above the
-    cap: TWISTLAB_VALUATION_CAP when set, else DEFAULT_CAP."""
+    """Rows of the grid of k variables over m values each (_grid_rows)."""
+    return _grid_rows((m,) * k)
+
+
+def _grid_rows(widths):
+    """Rows of the grid of variables over ``widths`` values each, refused
+    above the cap: TWISTLAB_VALUATION_CAP when set, else DEFAULT_CAP."""
     env = os.environ.get("TWISTLAB_VALUATION_CAP")
     try:
         cap = int(env) if env else DEFAULT_CAP
@@ -77,11 +100,11 @@ def _grid_size(m, k):
     if cap < 1:
         raise ValueError(f"TWISTLAB_VALUATION_CAP must be a positive "
                          f"integer, not {env!r}")
-    total = m ** k
+    total = math.prod(widths)
     if total > cap:
         raise CapExceededError(
-            f"valuation space {m}^{k} exceeds cap {cap}; raise "
-            f"TWISTLAB_VALUATION_CAP to override")
+            f"valuation space {' x '.join(map(str, widths))} = {total} "
+            f"exceeds cap {cap}; raise TWISTLAB_VALUATION_CAP to override")
     return total
 
 
@@ -169,45 +192,92 @@ class _Vec:
 
 def _var_grid(m, k, rows):
     """Columns of the lexicographic enumeration of k variables over m
-    values, at ``rows``: an index array, or one index for one valuation."""
-    return [rows // m ** (k - 1 - i) % m for i in range(k)]
+    values each, at ``rows`` (_columns)."""
+    return _columns((m,) * k, rows)
 
 
-def _width(structure):
-    """Values a variable ranges over: carrier pairs or elements."""
-    return structure.size if _is_twist(structure) else structure.n
+def _columns(widths, rows):
+    """Columns of the mixed-radix lexicographic enumeration of variables
+    over ``widths`` values each, at ``rows``: an index array, or one index
+    for one valuation."""
+    out, stride = [], 1
+    for w in reversed(widths):
+        out.append(rows // stride % w)
+        stride *= w
+    return out[::-1]
 
 
-def _tail(m, k):
-    """The trailing variables a grid of k variables over m values holds
-    as axes: the most, up to k, whose m**t valuations fit in the first
-    chunk.  Each prefix of the other variables spans a block of m**t
-    rows."""
-    t = 0
-    while t < k and m ** (t + 1) <= _FIRST_CHUNK:
-        t += 1
-    return t
+def _domains(structure):
+    """What a variable ranges over, by the components of it that are
+    read: 1 (the first only), 2 (the second only) or 3 (both), as the
+    components of its values in carrier order, (firsts, seconds) over a
+    twist and (elements,) over an algebra.  Over a twist, 1 and 2 hold the
+    least-indexed pair with each first, or each second, component.  Built
+    once per structure."""
+    domains = structure._cache.get("domains")
+    if domains is None:
+        if _is_twist(structure):
+            f, s = structure.firsts, structure.seconds
+            one = np.unique(f, return_index=True)[1]
+            two = np.sort(np.unique(s, return_index=True)[1])
+            domains = {1: (f[one], s[one]), 2: (f[two], s[two]), 3: (f, s)}
+        else:
+            domains = dict.fromkeys((1, 3), (np.arange(structure.n),))
+        structure._cache["domains"] = domains
+    return domains
 
 
-def _grid_vec(structure, names, lo, hi):
-    """A _Vec over rows lo..hi-1 of the valuation grid, lo and hi whole
-    blocks (_tail).  Its shape is the (hi - lo) / m**t prefixes, then an
-    axis of m values for each trailing variable.  The leading variables
-    are _var_grid columns over the prefixes, the trailing ones arange(m)
-    along their own axis, so a value broadcast to the shape and flattened
+def _grid(structure, psi, reduce_positive=True):
+    """psi's variables, sorted, each mapped to the domain it ranges over:
+    by what psi.reads[0] reads of it, or every value when
+    ``reduce_positive`` is False."""
+    domains = _domains(structure)
+    reads = psi.reads[0]
+    if not reduce_positive:
+        return {name: domains[3] for name in sorted(psi.free)}
+    return {name: domains[((name, 0) in reads) + 2 * ((name, 1) in reads)]
+            for name in sorted(psi.free)}
+
+
+def _widths(grid):
+    return [len(domain[0]) for domain in grid.values()]
+
+
+def _tail(widths):
+    """The trailing variables a grid holds as axes, and the rows they
+    span: the most variables, from the last, whose product of widths fits
+    in the first chunk.  Each prefix of the other variables spans one
+    block of that many rows."""
+    t, block = 0, 1
+    for w in reversed(widths):
+        if block * w > _FIRST_CHUNK:
+            break
+        t, block = t + 1, block * w
+    return t, block
+
+
+def _grid_vec(structure, grid, lo, hi):
+    """A _Vec over rows lo..hi-1 of the valuation grid ``grid`` (name ->
+    domain), lo and hi whole blocks (_tail).  Its shape is the
+    (hi - lo) / block prefixes, then an axis for each trailing variable as
+    long as its domain.  The leading variables are their domains read at
+    _columns over the prefixes, the trailing ones their whole domains
+    along their own axes, so a value broadcast to the shape and flattened
     in C order lists rows lo..hi-1 in order."""
-    m, k = _width(structure), len(names)
-    t = _tail(m, k)
-    shape = ((hi - lo) // m ** t,) + (m,) * t
-    cols = [c.reshape(-1, *(1,) * t) for c in _var_grid(
-        m, k - t, np.arange(lo // m ** t, hi // m ** t, dtype=np.int64))]
-    cols += [np.arange(m).reshape([m if a == j else 1 for a in range(t + 1)])
-             for j in range(1, t + 1)]
-    if _is_twist(structure):
-        f, s = structure.firsts, structure.seconds
-        assign = {name: (f[c], s[c]) for name, c in zip(names, cols)}
-    else:
-        assign = {name: (c,) for name, c in zip(names, cols)}
+    widths = _widths(grid)
+    t, block = _tail(widths)
+    lead = len(widths) - t
+    shape = ((hi - lo) // block, *widths[lead:])
+    cols = [c.reshape(-1, *(1,) * t) for c in _columns(
+        widths[:lead], np.arange(lo // block, hi // block, dtype=np.int64))]
+    assign = {}
+    for i, (name, domain) in enumerate(grid.items()):
+        if i < lead:
+            assign[name] = tuple(part[cols[i]] for part in domain)
+        else:  # the whole domain, along the variable's own axis
+            axis = [1] * (t + 1)
+            axis[i - lead + 1] = -1
+            assign[name] = tuple(part.reshape(axis) for part in domain)
     return _Vec(structure, assign, shape)
 
 
@@ -275,21 +345,9 @@ class ValidityResult:
         return {"valuation": val, "value": value}
 
 
-def _positive(phi):
-    return not phi.flags & fm.HAS_SNEG
-
-
-def _scan_target(structure, psi, reduce_positive):
-    """The structure psi's validity is decided on: the base of a twist
-    for a formula without strong negation, else the structure itself."""
-    if reduce_positive and _is_twist(structure) and _positive(psi):
-        return structure.base
-    return structure
-
-
-def _first_refutations(structure, names, psis, lo, hi):
+def _first_refutations(structure, grid, psis, lo, hi):
     """Each formula's least refuting row among rows lo..hi-1 of the
-    valuation grid of ``names``, or None where it holds on all of them.
+    valuation grid ``grid``, or None where it holds on all of them.
 
     Refuted formulas drop out of later chunks, and the scan stops when
     none is left.  In each chunk every pending formula writes
@@ -299,19 +357,18 @@ def _first_refutations(structure, names, psis, lo, hi):
     """
     first = [None] * len(psis)
     pending = range(len(psis))
-    m = _width(structure)
-    for clo, chi in _chunks(lo, hi, m ** _tail(m, len(names))):
+    for clo, chi in _chunks(lo, hi, _tail(_widths(grid))[1]):
         step = max(1, _BATCH_CELLS // (chi - clo))
         bad = np.empty((min(step, len(pending)), chi - clo), dtype=bool)
-        ev = _grid_vec(structure, names, clo, chi)
-        grids = bad.reshape(len(bad), *ev.shape)
+        ev = _grid_vec(structure, grid, clo, chi)
+        views = bad.reshape(len(bad), *ev.shape)
         top = ev.base.top
         still = []
         for start in range(0, len(pending), step):
             batch = pending[start:start + step]
             rows = bad[:len(batch)]
-            for grid, i in zip(grids, batch):
-                np.not_equal(ev.eval(psis[i], 0), top, out=grid)
+            for view, i in zip(views, batch):
+                np.not_equal(ev.eval(psis[i], 0), top, out=view)
             # argmax is 0 for a refutation at the chunk's first row and
             # for none at all: the first column tells them apart
             for i, offset, at_first in zip(batch,
@@ -334,93 +391,91 @@ def is_valid(structure, phi: Formula, jobs: int = 1,
 
     Valuations are ordered lexicographically (variables sorted by name,
     values by element index, pairs by carrier position); a refutation
-    reports the least witness.  With ``jobs`` > 1 a grid larger than the
-    first chunk is split into contiguous ranges of whole blocks scanned by
-    a process pool of at most os.cpu_count() workers.  The valuation-space
-    size is capped by TWISTLAB_VALUATION_CAP (default 10**7).
+    reports the least witness and its value.  Over a twist a variable
+    whose value phi reads at one component only ranges over one
+    representative pair per base element, the least-indexed pair with
+    that component; the witness is the same as over every pair (see the
+    module docstring).  ``reduce_positive=False`` scans every pair for
+    every variable.  With ``jobs`` > 1 a grid larger than the first chunk
+    is split into contiguous ranges of whole blocks scanned by a process
+    pool of at most os.cpu_count() workers.  The rows of the grid scanned
+    are capped by TWISTLAB_VALUATION_CAP (default 10**7).
     """
     psi = _prepare(structure, phi)
-    names = sorted(fm.free_vars(psi))
-    k = len(names)
-    scan_on = _scan_target(structure, psi, reduce_positive)
-    m = _width(scan_on)
-    total = _grid_size(m, k)
+    grid = _grid(structure, psi, reduce_positive)
+    widths = _widths(grid)
+    total = _grid_rows(widths)
 
     if jobs > 1 and total > _FIRST_CHUNK:
         from concurrent.futures import ProcessPoolExecutor
         workers = min(jobs, os.cpu_count() or 1)
-        block = m ** _tail(m, k)
+        block = _tail(widths)[1]
         bounds = (np.linspace(0, total // block, workers + 1,
                               dtype=np.int64) * block).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             hits = [row for (row,) in pool.map(
-                partial(_first_refutations, scan_on, names, [psi]),
+                partial(_first_refutations, structure, grid, [psi]),
                 bounds[:-1], bounds[1:]) if row is not None]
         bad = min(hits) if hits else None
     else:
-        bad = _first_refutations(scan_on, names, [psi], 0, total)[0]
+        bad = _first_refutations(structure, grid, [psi], 0, total)[0]
 
     if bad is None:
         return ValidityResult(True)
-    positions = _var_grid(m, k, bad)
-    if scan_on is not structure:
-        # map base elements to their first carrier pair; the carrier is
-        # sorted by first component, so this preserves least-witness order
-        positions = np.searchsorted(structure.firsts, positions).tolist()
-    if _is_twist(structure):
-        witness = {name: (int(structure.firsts[i]), int(structure.seconds[i]))
-                   for name, i in zip(names, positions)}
-    else:
-        witness = {name: int(i) for name, i in zip(names, positions)}
+    witness = {name: tuple(int(part[i]) for part in domain)
+               for (name, domain), i in zip(grid.items(),
+                                            _columns(widths, bad))}
+    if not _is_twist(structure):
+        witness = {name: a for name, (a,) in witness.items()}
     value = evaluate(structure, psi, witness)
     return ValidityResult(False, witness, value)
 
 
-def _grouped(structure, formulas):
+def _grouped(structure, formulas, reduce_positive=True):
     """The formulas prepared for the structure, and the indices of those
-    that share one scanned grid: the same positivity, the same free
-    variables."""
+    that share one scanned grid, by what they read of which variables
+    (only by their variables when ``reduce_positive`` is False)."""
     psis = [_prepare(structure, phi) for phi in formulas]
     groups: dict = {}
     for i, psi in enumerate(psis):
-        groups.setdefault((_positive(psi), psi.free), []).append(i)
+        key = psi.reads[0] if reduce_positive else psi.free
+        groups.setdefault(key, []).append(i)
     return psis, groups
 
 
 def validity_profile(structure, formulas,
                      reduce_positive: bool = True) -> list:
-    """Validity booleans for a batch of formulas.
+    """Validity booleans for a batch of formulas, each equal to
+    is_valid(structure, phi, reduce_positive=reduce_positive).valid.
 
     Much faster than mapping is_valid when the formulas share subterms:
-    formulas with the same variables and the same positivity, hence the
-    same scanned grid, are scanned together, so each chunk of their grid
+    formulas that read the same components of the same variables, hence
+    scan the same grid, are scanned together, so each chunk of their grid
     is evaluated once per distinct subformula, and formulas refuted
     early drop out of later chunks.
     """
-    psis, groups = _grouped(structure, formulas)
+    psis, groups = _grouped(structure, formulas, reduce_positive)
     out = [True] * len(psis)
-    for (_, free), members in groups.items():
-        scan_on = _scan_target(structure, psis[members[0]], reduce_positive)
-        names = sorted(free)
-        total = _grid_size(_width(scan_on), len(names))
-        rows = _first_refutations(scan_on, names,
-                                  [psis[i] for i in members], 0, total)
+    for members in groups.values():
+        grid = _grid(structure, psis[members[0]], reduce_positive)
+        rows = _first_refutations(structure, grid,
+                                  [psis[i] for i in members], 0,
+                                  _grid_rows(_widths(grid)))
         for i, row in zip(members, rows):
             out[i] = row is None
     return out
 
 
-def _refutation_counts(structure, names, psis, total):
-    """H[i, J, M]: the rows of the valuation grid of ``names`` over a
-    twist that refute formula i, counted by J, the meet over the
-    variables of a v b, and M, the join of a ^ b.  Chunked as in
-    _first_refutations, with no early exit: every row counts."""
+def _refutation_counts(structure, grid, psis, total):
+    """H[i, J, M]: the rows of the valuation grid ``grid``, every variable
+    over every pair of a twist, that refute formula i, counted by J, the
+    meet over the variables of a v b, and M, the join of a ^ b.  Chunked
+    as in _first_refutations, with no early exit: every row counts."""
     base = structure.base
     n, top = base.n, base.top
-    m = structure.size
     counts = np.zeros((len(psis), n * n), dtype=np.int64)
-    for clo, chi in _chunks(0, total, m ** _tail(m, len(names))):
-        ev = _grid_vec(structure, names, clo, chi)
+    for clo, chi in _chunks(0, total, _tail(_widths(grid))[1]):
+        ev = _grid_vec(structure, grid, clo, chi)
         meet_of_joins, join_of_meets = top, base.bot
         for a, b in ev.assign.values():
             meet_of_joins = base.meet[meet_of_joins, base.join[a, b]]
@@ -444,30 +499,33 @@ def validity_table(base, formulas) -> np.ndarray:
     base.  A valuation lies in the sub-twist exactly when f <= J and
     M <= d, with J the meet over its variables of a v b and M the join of
     a ^ b; so each formula is evaluated once over the full twist's grid,
-    its refuting rows are counted by (J, M), and le @ H @ le sums, at
-    (f, d), those that lie in the sub-twist.  Formulas without strong
-    negation are decided once on the base, as validity_profile does, and
-    their plane is constant.  The full twist is itself an instance, so
-    the cap refuses the table exactly where it refuses that instance.
+    every variable over every pair, its refuting rows are counted by
+    (J, M), and le @ H @ le sums, at (f, d), those that lie in the
+    sub-twist.  A formula that reads no variable at both components is
+    decided once, as is_valid decides it on the full twist: in every
+    twist its variables still range over the whole base, as both
+    projections are onto it, so its plane is constant.  The cap bounds the
+    grid scanned, so it refuses the table where it refuses is_valid on the
+    full twist, and also where a formula that reads some variable at both
+    components has more pairs over all of its variables than the cap.
     """
     structure = full_twist(base)
     n = base.n
     psis, groups = _grouped(structure, formulas)
     valid = np.empty((len(psis), n, n), dtype=bool)
     le = base.le.astype(np.int64)
-    for (positive, free), members in groups.items():
-        names = sorted(free)
+    for reads, members in groups.items():
         batch = [psis[i] for i in members]
-        if positive:
-            rows = _first_refutations(base, names, batch, 0,
-                                      _grid_size(n, len(names)))
+        both = any((name, 1 - j) in reads for name, j in reads)
+        grid = _grid(structure, batch[0], reduce_positive=not both)
+        total = _grid_rows(_widths(grid))
+        if both:
+            counts = _refutation_counts(structure, grid, batch, total)
+            valid[members] = (le @ counts @ le) == 0
+        else:
+            rows = _first_refutations(structure, grid, batch, 0, total)
             for i, row in zip(members, rows):
                 valid[i] = row is None
-        else:
-            counts = _refutation_counts(
-                structure, names, batch,
-                _grid_size(structure.size, len(names)))
-            valid[members] = (le @ counts @ le) == 0
     return valid
 
 
@@ -602,12 +660,12 @@ def pi1_commutes(structure: TwistStructure, psi: Formula) -> bool:
     """Exhaustively confirm that the first projection of a positive
     formula's value equals the base value of the projected valuation."""
     phi = _prepare(structure, psi)
-    if not _positive(phi):
+    if phi.flags & fm.HAS_SNEG:
         raise ValueError("pi1_commutes expects a formula without ~")
-    names = sorted(fm.free_vars(phi))
-    m, k = structure.size, len(names)
-    for lo, hi in _chunks(0, _grid_size(m, k), m ** _tail(m, k)):
-        ev = _grid_vec(structure, names, lo, hi)
+    grid = _grid(structure, phi, reduce_positive=False)
+    for lo, hi in _chunks(0, _grid_rows(_widths(grid)),
+                          _tail(_widths(grid))[1]):
+        ev = _grid_vec(structure, grid, lo, hi)
         base_assign = {nm: (f,) for nm, (f, _) in ev.assign.items()}
         base_val = _Vec(structure.base, base_assign).eval(phi, 0)
         if not np.all(ev.eval(phi, 0) == base_val):

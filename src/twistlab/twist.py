@@ -29,6 +29,7 @@ __all__ = [
 # first(x) ^ second(y).  ~ swaps the components and bot is (bot, top).
 # Read, through _op_tables, by semantics._Vec, one component at a time, and
 # by _closure_failure, both components of every carrier pair at once.
+# formula._reads states the same rule on formulas: ~(x -> y) is x & ~y.
 _OPERATIONS = {
     "and": ("meet", "join", 1),
     "or": ("join", "meet", 1),
@@ -91,6 +92,7 @@ class TwistStructure:
         member[firsts, seconds] = True
         member.setflags(write=False)
         self.member = member
+        self._cache = {}  # facts derived from the carrier, built lazily
 
     @property
     def size(self) -> int:

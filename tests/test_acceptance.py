@@ -126,8 +126,8 @@ def test_criterion_7_frame_algebra_bridge():
 def test_criterion_8_ideal_independence(sweep_report):
     bad = sweep_report.failures.get("l414", [])
     groups = sweep_report.counts.get("l414_groups", 0)
-    # a shaped formula without strong negation is decided on the base, so
-    # its independence of the ideal holds trivially
+    # a shaped formula without strong negation reads only first
+    # components, so its independence of the ideal holds trivially
     sneg = sum(1 for phi in companions.form_sharp_corpus(50)
                if phi.flags & fm.HAS_SNEG)
     ok = (not bad and sweep_report.sharp_corpus_size >= 50 and groups > 0

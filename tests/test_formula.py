@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import formula as fm
-from twistlab import semantics
 from twistlab.formula import (And, Bot, Box, Dia, Iff, Imp, Neg, Or, SIff,
                               SNeg, Var)
 from twistlab.semantics import enumerate_formulas
@@ -254,11 +253,30 @@ def _oracle_desugar(phi, target):
     return walk(phi)
 
 
+def _oracle_reads(phi):
+    """The literals of the strong-negation normal form of phi and of ~phi,
+    (name, 0) for p and (name, 1) for ~p, by pushing ~ down the Lsbox
+    desugaring: ~ flips the polarity, and ~(a -> b) is a & ~b."""
+    def walk(f, negated):
+        kind = f.kind
+        if kind == "var":
+            return {(f.name, int(negated))}
+        if kind == "sneg":
+            return walk(f.args[0], not negated)
+        if kind == "imp" and negated:
+            return walk(f.args[0], False) | walk(f.args[1], True)
+        return set().union(*(walk(a, negated) for a in f.args))
+
+    psi = _oracle_desugar(phi, fm.LanguageTag.Lsbox)
+    return walk(psi, False), walk(psi, True)
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(_FORMULAS)
 def test_stored_analyses_match_oracles(phi):
     kinds = _kinds(phi)
     assert fm.free_vars(phi) == _oracle_free_vars(phi)
+    assert phi.reads == _oracle_reads(phi)
     assert bool(phi.flags & fm.HAS_SNEG) == ("sneg" in kinds)
     assert bool(phi.flags & fm.HAS_MODAL) == bool(kinds & {"box", "dia"})
     assert bool(phi.flags & fm.HAS_DIA) == ("dia" in kinds)
@@ -276,7 +294,7 @@ def test_stored_analyses_match_oracles(phi):
         assert fm.desugar(psi, target) is psi
         assert fm.language_of(psi) == _oracle_language(psi)
         assert fm.free_vars(psi) == _oracle_free_vars(psi)
-        assert semantics._positive(psi) == ("sneg" not in _kinds(psi))
+        assert psi.reads == _oracle_reads(psi)
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)

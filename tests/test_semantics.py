@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -92,7 +95,8 @@ def test_is_valid_matches_reference_modal(chain2):
 
 
 def test_positive_reduction_agrees(kleene_twist):
-    "The base-projection shortcut returns identical results and witnesses."
+    """Positive formulas scanned over one pair per base element give the
+    results and witnesses of the scan over every pair."""
     for phi in enumerate_formulas("Li", 2, 2, 150):
         fast = is_valid(kleene_twist, phi, reduce_positive=True)
         full = is_valid(kleene_twist, phi, reduce_positive=False)
@@ -105,8 +109,9 @@ def test_is_valid_jobs_deterministic(bool4):
     enough for jobs=2 to split the grid over a process pool.  The refuted
     formula first fails at row 16448, outside the first serial chunk, and
     fails in both halves of the split as well.  The positive formulas in
-    seven variables are decided on the base: 4**7 = 16384 rows, refuted
-    from row 4096 on (where p first leaves bot) in both halves too."""
+    seven variables range over one pair per base element: 4**7 = 16384
+    rows, refuted from row 4096 on (where p first leaves bot) in both
+    halves too."""
     structure = twist.full_twist(bool4)
     assert structure.size ** 4 > semantics._FIRST_CHUNK
     assert bool4.n ** 7 > semantics._FIRST_CHUNK
@@ -144,36 +149,53 @@ def _chain(m):
 
 
 def test_grid_vec_matches_flat_grid():
-    """For every width m <= 40 (most of them not dividing _FIRST_CHUNK)
-    and up to three variables, the chunks tile the grid in whole blocks,
-    the largest that fit in _FIRST_CHUNK rows first and in 2**20 after,
-    and in each chunk the broadcast grid's columns, broadcast to its
-    shape and flattened, are the flat lexicographic grid's.  A leading
-    variable holds one value per prefix, a trailing one m values."""
+    """For every uniform width m <= 40 (most of them not dividing
+    _FIRST_CHUNK), for seeded mixed widths, and up to three variables, the
+    chunks tile the grid in whole blocks, the largest that fit in
+    _FIRST_CHUNK rows first and in 2**20 after, and in each chunk the
+    broadcast grid's columns, broadcast to its shape and flattened, are
+    the lexicographic grid's, in itertools.product's order, each position
+    read in its variable's domain.  A leading variable holds one value per
+    prefix, a trailing one a value per position of its domain."""
     names = ["p", "q", "r"]
-    for m in range(1, 41):
-        algebra = _chain(m)
-        for k in range(4):
-            t = semantics._tail(m, k)
-            block, total = m ** t, m ** k
-            assert block <= semantics._FIRST_CHUNK
-            assert t == k or block * m > semantics._FIRST_CHUNK
-            lo, cap = 0, semantics._FIRST_CHUNK
-            for clo, chi in semantics._chunks(0, total, block):
-                step = cap // block * block
-                assert (clo, chi) == (lo, min(total, lo + step))
-                lo, cap = chi, 1 << 20
-                ev = semantics._grid_vec(algebra, names[:k], clo, chi)
-                assert ev.shape == ((chi - clo) // block,) + (m,) * t
-                want = semantics._var_grid(m, k, np.arange(clo, chi))
-                for i, (name, col) in enumerate(zip(names, want)):
-                    got = ev.assign[name][0]
-                    assert got.size == (m if i >= k - t else ev.shape[0])
-                    assert np.array_equal(
-                        np.broadcast_to(got, ev.shape).ravel(), col)
-            assert lo == total
+    algebra = _chain(40)
+    rng = random.Random(1207)
+    cases = [(m,) * k for m in range(1, 41) for k in range(4)]
+    cases += [tuple(rng.randint(1, 40) for _ in range(k))
+              for k in (2, 3) for _ in range(30)]
+    for widths in cases:
+        k = len(widths)
+        t, block = semantics._tail(widths)
+        assert block == math.prod(widths[k - t:]) <= semantics._FIRST_CHUNK
+        assert t == k or block * widths[k - t - 1] > semantics._FIRST_CHUNK
+        total = math.prod(widths)
+        want = np.array(list(itertools.product(*map(range, widths))),
+                        dtype=np.int64).reshape(total, k).T
+        assert np.array_equal(np.reshape(
+            semantics._columns(widths, np.arange(total)), (k, total)), want)
+        # each domain lists its values backwards, so positions are read in it
+        grid = {name: (w - 1 - np.arange(w),)
+                for name, w in zip(names, widths)}
+        lo, cap = 0, semantics._FIRST_CHUNK
+        for clo, chi in semantics._chunks(0, total, block):
+            step = cap // block * block
+            assert (clo, chi) == (lo, min(total, lo + step))
+            lo, cap = chi, 1 << 20
+            ev = semantics._grid_vec(algebra, grid, clo, chi)
+            assert ev.shape == ((chi - clo) // block,) + widths[k - t:]
+            for i, (name, col) in enumerate(zip(names, want[:, clo:chi])):
+                got = ev.assign[name][0]
+                assert got.size == (widths[i] if i >= k - t
+                                    else ev.shape[0])
+                assert np.array_equal(
+                    np.broadcast_to(got, ev.shape).ravel(),
+                    widths[i] - 1 - col)
+        assert lo == total
+    # the uniform enumeration kripke reads is the same order
+    assert np.array_equal(semantics._var_grid(3, 2, np.arange(9)),
+                          semantics._columns((3, 3), np.arange(9)))
     # a width above the first chunk keeps every variable a column
-    assert semantics._tail(4097, 2) == 0
+    assert semantics._tail((4097, 4097)) == (0, 1)
 
 
 # least refuting rows of the 6561-row grid of four variables over the 9
@@ -191,21 +213,59 @@ def test_least_witness_past_misaligned_chunk_edge(fake_pool, three):
     """Four variables over 9 pairs: three trailing axes, blocks of 729
     rows, so the first chunk ends at row 3645, not 4096.  The least
     witness past that edge matches the plain-loop oracle, serially and
-    over a pool of three row ranges (edges at rows 2187 and 4374)."""
+    over a pool of three row ranges (edges at rows 2187 and 4374).  Every
+    variable ranges over every pair, as the grid under test needs: some
+    of these formulas read a variable at one component only."""
     structure = twist.full_twist(three)
     m = structure.size
-    assert (m, semantics._tail(m, 4)) == (9, 3)
+    assert (m, semantics._tail([m] * 4)) == (9, (3, 729))
     assert next(semantics._chunks(0, m ** 4, m ** 3)) == (0, 3645)
     for text, row in _LATE.items():
         phi = fm.parse(text)
-        serial = is_valid(structure, phi)
+        serial = is_valid(structure, phi, reduce_positive=False)
         assert (serial.valid, serial.witness) == \
             slow_is_valid(structure, phi)
         if row is not None:
             assert sum(structure.index(serial.witness[name]) * m ** (3 - i)
                        for i, name in enumerate("pqrs")) == row
-        assert is_valid(structure, phi, jobs=3) == serial
+        assert is_valid(structure, phi, jobs=3,
+                        reduce_positive=False) == serial
     assert fake_pool == [{"max_workers": 3, "tasks": 3}] * len(_LATE)
+
+
+# least refuting rows of the mixed-width grid over full_twist(3-chain):
+# p, r and t over its 9 pairs, q over one pair per first component and s
+# over one per second, 6561 rows; past the first chunk's edge at row 3645,
+# on both sides of the pool's edge at row 4374
+_MIXED = {
+    "((((~t) | r) | (~r)) & ((p | (~r)) -> (t -> (~p)))) -> "
+    "((((~p) & q) -> (p | t)) | ((p -> r) | ((~t) & (~s))))": 4133,
+    "((~t) -> (((~p) | (~r)) & (~s))) -> "
+    "(((bot -> q) -> (r -> t)) | (p -> ((~s) -> r)))": 4473,
+}
+
+
+def test_least_witness_past_mixed_chunk_edge(fake_pool, three):
+    """Widths 9, 3, 9, 3, 9: four trailing axes, blocks of 729 rows, the
+    first chunk ending at row 3645.  The least witness past that edge,
+    read back through the domains, is the plain-loop oracle's over every
+    pair, serially and over a pool of three row ranges (edges at rows
+    2187 and 4374)."""
+    structure = twist.full_twist(three)
+    for text, row in _MIXED.items():
+        phi = fm.parse(text)
+        grid = semantics._grid(structure, phi)
+        widths = semantics._widths(grid)
+        assert widths == [9, 3, 9, 3, 9]
+        assert semantics._tail(widths) == (4, 729)
+        serial = is_valid(structure, phi)
+        assert (serial.valid, serial.witness) == \
+            slow_is_valid(structure, phi)
+        positions = [list(zip(*domain)).index(serial.witness[name])
+                     for name, domain in grid.items()]
+        assert np.ravel_multi_index(positions, widths) == row
+        assert is_valid(structure, phi, jobs=3) == serial
+    assert fake_pool == [{"max_workers": 3, "tasks": 3}] * len(_MIXED)
 
 
 def test_is_valid_memory_bounded():
@@ -223,7 +283,9 @@ def test_is_valid_memory_bounded():
     phi = fm.parse("~(p & (q | r)) -> (~p | ~(q | r))")
     tracemalloc.start()
     try:
-        result = is_valid(structure, phi)
+        # every pair, as the grid under test needs: phi reads only second
+        # components, so it would scan 12**3 rows otherwise
+        result = is_valid(structure, phi, reduce_positive=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -369,12 +431,31 @@ def test_default_corpus_composition():
     assert len(corpus) == 14 + 3 + 100
 
 
+def _first_projection_matches_oracle(structure, phi):
+    """At every valuation of phi over the twist's pairs, the library's
+    value on the base at the projected valuation, and the first component
+    of its value on the twist, are the first component of the plain-loop
+    oracle's value.  pi1_commutes runs one evaluator on both sides; this
+    is the independent check."""
+    names = sorted(phi.free)
+    for combo in itertools.product(structure.pairs, repeat=len(names)):
+        valuation = dict(zip(names, combo))
+        want = slow_evaluate(structure, phi, valuation)[0]
+        assert evaluate(structure.base, phi,
+                        {name: a for name, (a, _) in valuation.items()}) \
+            == want
+        assert evaluate(structure, phi, valuation)[0] == want
+
+
 def test_pi1_commutes(kleene_twist, chain2):
     assert pi1_commutes(kleene_twist, Imp(p, q))
     assert pi1_commutes(kleene_twist, p)
     algebra = tba.powerset_tba(chain2)
     structure = twist.full_twist(algebra)
     assert pi1_commutes(structure, Box(p))
+    for structure, phi in ((kleene_twist, Imp(p, q)), (kleene_twist, p),
+                           (structure, Box(p))):
+        _first_projection_matches_oracle(structure, phi)
     with pytest.raises(ValueError):
         pi1_commutes(kleene_twist, SNeg(p))
 
@@ -382,6 +463,7 @@ def test_pi1_commutes(kleene_twist, chain2):
 def test_pi1_commutes_over_positive_corpus(kleene_twist):
     for phi in enumerate_formulas("Li", 2, 2, 200):
         assert pi1_commutes(kleene_twist, phi)
+        _first_projection_matches_oracle(kleene_twist, phi)
 
 
 def test_scan_reads_second_components_only_at_atoms(monkeypatch, chain2):
@@ -423,18 +505,17 @@ def test_evaluate_agrees_with_reference(kleene_twist):
 _POSETS3 = list(order.enumerate_posets(3))
 
 
-def _formulas(unary, height):
-    "Formulas over p and q of height at most ``height``."
-    leaves = st.sampled_from([p, q, Bot])
+def _formulas(unary, height, leaves=(p, q, Bot)):
+    "Formulas over ``leaves`` of height at most ``height``."
     if height == 0:
-        return leaves
-    sub = _formulas(unary, height - 1)
+        return st.sampled_from(leaves)
+    sub = _formulas(unary, height - 1, leaves)
     grown = [st.builds(lambda op, a, b: op(a, b),
                        st.sampled_from([And, Or, Imp]), sub, sub)]
     if unary:
         grown.append(st.builds(lambda op, a: op(a), st.sampled_from(unary),
                                sub))
-    return st.one_of(leaves, *grown)
+    return st.one_of(st.sampled_from(leaves), *grown)
 
 
 _LANGUAGES = {(twisted, modal): _formulas(
@@ -443,7 +524,7 @@ _LANGUAGES = {(twisted, modal): _formulas(
 
 
 @st.composite
-def _structures(draw):
+def _structures(draw, twisted=st.booleans()):
     """A Heyting algebra of a poset with at most 3 points or its powerset
     TBA, either bare or under a twist with a drawn filter and ideal."""
     poset = draw(st.sampled_from(_POSETS3))
@@ -455,7 +536,7 @@ def _structures(draw):
         base = order.heyting_from_poset(poset)
         filters = heyting.filters(base, require_dense=True)
         ideals = heyting.ideals(base)
-    if not draw(st.booleans()):
+    if not draw(twisted):
         return base, _LANGUAGES[False, modal]
     structure = twist.tw(base, draw(st.sampled_from(filters)),
                          draw(st.sampled_from(ideals)))
@@ -466,7 +547,7 @@ def _structures(draw):
 @given(st.data())
 def test_fast_paths_match_oracles(data):
     """evaluate, is_valid (least witness included, with and without the
-    positive reduction) and validity_profile against the plain-loop
+    component domains) and validity_profile against the plain-loop
     oracles, on every connective and every kind of structure."""
     structure, language = data.draw(_structures())
     formulas = data.draw(st.lists(language, min_size=1, max_size=4))
@@ -485,6 +566,55 @@ def test_fast_paths_match_oracles(data):
         assert validity_profile(structure, formulas,
                                 reduce_positive=reduce) == \
             [is_valid(structure, phi).valid for phi in formulas]
+
+
+# formulas whose strong negations sit mostly on the variables, so that
+# many read a variable at one component only, either one
+_LITERAL_LANGUAGES = {modal: _formulas((SNeg,) + (Box, Dia) * modal, 3,
+                                       (p, q, SNeg(p), SNeg(q), Bot))
+                      for modal in (False, True)}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_component_domains_match_every_pair(data):
+    """On random sub-twists of the Heyting algebras of posets <= 3 and of
+    their powerset TBAs, and on random Ls or Lsbox formulas, the scan over
+    the component domains, the scan over every pair and the plain-loop
+    oracle give the same verdict, least witness and value, and
+    validity_profile is is_valid mapped over the formulas."""
+    structure, _ = data.draw(_structures(twisted=st.just(True)))
+    formulas = data.draw(st.lists(_LITERAL_LANGUAGES[structure.modal],
+                                  min_size=1, max_size=4))
+    for phi in formulas:
+        valid, witness = slow_is_valid(structure, phi)
+        value = None if valid else slow_evaluate(structure, phi, witness)
+        for reduce in (True, False):
+            mine = is_valid(structure, phi, reduce_positive=reduce)
+            assert (mine.valid, mine.witness, mine.value) == \
+                (valid, witness, value)
+    for reduce in (True, False):
+        assert validity_profile(structure, formulas,
+                                reduce_positive=reduce) == \
+            [is_valid(structure, phi, reduce_positive=reduce).valid
+             for phi in formulas]
+
+
+def test_second_component_domain_in_carrier_order(kleene_twist):
+    """The Kleene twist's pairs show the second components 1, 2, 0 first,
+    in that order, so a variable read only at its second component ranges
+    over (0, 1), (0, 2), (1, 0), not in element order: ~p, refuted by
+    every second component but top, has the least witness (0, 1), as over
+    every pair, not (1, 0)."""
+    firsts, seconds = semantics._domains(kleene_twist)[2]
+    assert list(zip(firsts.tolist(), seconds.tolist())) == \
+        [(0, 1), (0, 2), (1, 0)]
+    assert is_valid(kleene_twist, SNeg(p)).witness == {"p": (0, 1)}
+    for text in ("~p", "~p | (q -> ~q)", "(~p -> q) | ~q", "~~q -> ~p"):
+        phi = fm.parse(text)
+        assert 3 in semantics._widths(semantics._grid(kleene_twist, phi))
+        mine = is_valid(kleene_twist, phi)
+        assert (mine.valid, mine.witness) == slow_is_valid(kleene_twist, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +668,7 @@ def test_validity_table_matches_instances(poset):
 @given(st.data())
 def test_validity_table_random_formulas(data):
     """On random formulas the table matches validity over the pairs
-    themselves, with no positive reduction on the oracle's side."""
+    themselves, every variable over every pair on the oracle's side."""
     poset = data.draw(st.sampled_from(_POSETS3))
     modal = data.draw(st.booleans())
     base = tba.powerset_tba(poset) if modal \
