@@ -76,21 +76,32 @@ def _closed_under(mask, table) -> bool:
     return bool(mask[table[idx[:, None], idx]].all())
 
 
-def _is_closed_set(algebra, subset, le, table, within=None) -> bool:
-    """Whether the subset is non-empty, inside ``within`` (a mask; default
-    the carrier), holds every element of ``within`` above a member along
-    ``le``, and is closed under ``table``: a filter for (le, meet), an
-    ideal for (le.T, join)."""
+def _is_closed_set(algebra, subset, ideal=False, within=None) -> bool:
+    """Whether the subset is a filter, or with ``ideal`` an ideal, of the
+    elements in the mask ``within`` (default all of them): non-empty,
+    inside ``within``, holding every element of ``within`` above (below) a
+    member, and closed under meet (join).  A set that passes is checked
+    once per algebra: it is kept, by (relation, within, subset), for at
+    most 4n sets, and a set that fails is never kept."""
     subset = frozenset(subset)
+    key = (ideal, None if within is None else within.tobytes(), subset)
+    kept = algebra._cache.setdefault("closed_sets", set())
+    if key in kept:
+        return True
     elements = range(algebra.n)
     if not subset or not all(a in elements for a in subset):
         return False
+    le, table = (algebra.le.T, algebra.join) if ideal else \
+        (algebra.le, algebra.meet)
     mask = _mask(algebra.n, subset)
     if within is None:
         within = np.ones(algebra.n, dtype=bool)
-    return (not (mask & ~within).any()
-            and not (le[mask].any(axis=0) & within & ~mask).any()
-            and _closed_under(mask, table))
+    if ((mask & ~within).any() or (le[mask].any(axis=0) & within & ~mask).any()
+            or not _closed_under(mask, table)):
+        return False
+    if len(kept) < 4 * algebra.n:
+        kept.add(key)
+    return True
 
 
 class FiniteHeytingAlgebra:
@@ -219,10 +230,10 @@ class FiniteHeytingAlgebra:
         return frozenset(np.flatnonzero(self.le[:, a]).tolist())
 
     def is_filter(self, subset) -> bool:
-        return _is_closed_set(self, subset, self.le, self.meet)
+        return _is_closed_set(self, subset)
 
     def is_ideal(self, subset) -> bool:
-        return _is_closed_set(self, subset, self.le.T, self.join)
+        return _is_closed_set(self, subset, ideal=True)
 
     def join_irreducibles(self) -> list:
         """Elements a != bot such that a = b v c forces a in {b, c}."""
@@ -266,7 +277,7 @@ def dense_filter(algebra: FiniteHeytingAlgebra) -> frozenset:
     by_neg = frozenset(np.flatnonzero(neg_t == algebra.bot).tolist())
     by_dneg = frozenset(np.flatnonzero(neg_t[neg_t] == algebra.top).tolist())
     rng = np.arange(algebra.n, dtype=np.intp)
-    by_form = frozenset(np.unique(algebra.join[rng, neg_t]).tolist())
+    by_form = frozenset(algebra.join[rng, neg_t].tolist())
     if not (by_neg == by_dneg == by_form):
         raise AssertionError("dense-element characterisations disagree")
     algebra._cache["dense"] = by_neg

@@ -76,7 +76,7 @@ def nabla_g(structure: TwistStructure) -> frozenset:
     restricted to the opens, to gamma, and to the lambda set."""
     base = structure.base
     joined = base.join[_open_pairs(structure)]
-    by_def = frozenset(np.unique(joined).tolist())
+    by_def = frozenset(joined.tolist())
     by_opens = structure.nabla & open_elements(base)
     by_gamma = structure.nabla & gamma(structure)
     by_lambda = structure.nabla & lambda_set(base, structure.nabla)
@@ -90,7 +90,7 @@ def delta_g(structure: TwistStructure) -> frozenset:
     restricted to the opens and to gamma."""
     base = structure.base
     met = base.meet[_open_pairs(structure)]
-    by_def = frozenset(np.unique(met).tolist())
+    by_def = frozenset(met.tolist())
     by_opens = structure.delta & open_elements(base)
     by_gamma = structure.delta & gamma(structure)
     if not (by_def == by_opens == by_gamma):

@@ -205,13 +205,12 @@ def _is_closed_ideal_tba(algebra, subset):
 
 def _is_g_filter(algebra, subset):
     """Filter of the open algebra, given as ambient indices."""
-    return _is_closed_set(algebra, subset, algebra.le, algebra.meet,
-                          algebra.open_mask())
+    return _is_closed_set(algebra, subset, within=algebra.open_mask())
 
 
 def _is_g_ideal(algebra, subset):
-    return _is_closed_set(algebra, subset, algebra.le.T, algebra.join,
-                          algebra.open_mask())
+    return _is_closed_set(algebra, subset, ideal=True,
+                          within=algebra.open_mask())
 
 
 def delta_map(algebra: FiniteTBA, nabla) -> frozenset:

@@ -9,8 +9,6 @@ carrier and determines it.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .heyting import FiniteHeytingAlgebra, _mask, dense_filter
@@ -28,7 +26,8 @@ __all__ = [
 # components, except that the second component of x -> y is
 # first(x) ^ second(y).  ~ swaps the components and bot is (bot, top).
 # Read, through _op_tables, by semantics._Vec, one component at a time, and
-# by _closure_failure, both components of every carrier pair at once.
+# by _closure_failure, both components at once, per pair of first
+# components rather than per pair of carrier pairs.
 # formula._reads states the same rule on formulas: ~(x -> y) is x & ~y.
 _OPERATIONS = {
     "and": ("meet", "join", 1),
@@ -53,27 +52,30 @@ def _op_tables(base):
 
 def _closure_failure(member, f, s, tables):
     """The first operation of ``tables`` under which the pairs (f, s) leave
-    the boolean pair matrix ``member``, or None.  A binary operation reads
-    its raveled base tables at the flat cells x*n + y of two carrier
-    components, built once per (component, component) pair in use."""
+    the boolean pair matrix ``member``, or None.  A binary operation is
+    checked per pair (a, c) of first components, the carrier being the 0/1
+    matrix R with R[a, b] = 1 for each pair (a, b): its misses are
+    (R @ ~member[:, second] @ R.T)[first[a, c], a, c] when the second
+    component reads second components, and otherwise (implication)
+    any(R[a]) * sum_d R[c, d] * ~member[first[a, c], second[a, d]].  Either
+    costs about n**3 cells, whatever the size of the carrier."""
     n = len(member)
-    # int32 indices, since they set the peak memory of a build; a base with
-    # 2**31 cells would not fit in memory anyway
-    parts = (f.astype(np.int32), s.astype(np.int32))
-
-    @functools.cache
-    def cells(i, j):
-        return parts[i][:, None] * n + parts[j]
-
-    flat = member.ravel()
+    held = np.zeros((n, n), dtype=bool)
+    held[f, s] = True
+    miss = ~member
+    # R and ~member as float32, so that the products run in BLAS
+    ones, misses_at = held.astype(np.float32), miss.astype(np.float32)
+    rng = np.arange(n)
     for kind, (first, second, side) in tables.items():
-        first, second = (first * n).astype(np.int32), second.astype(np.int32)
         if first.ndim == 1:
-            cell = first.take(f) + second.take(parts[side])
+            missed = not member[first[f], second[(f, s)[side]]].all()
+        elif side:
+            misses = ones @ misses_at[:, second] @ ones.T
+            missed = misses[first, rng[:, None], rng].any()
         else:
-            cell = first.ravel().take(cells(0, 0))
-            cell += second.ravel().take(cells(side, 1))
-        if not flat.take(cell).all():
+            misses = miss[first[:, :, None], second[:, None, :]] & held
+            missed = misses[held.any(axis=1)].any()
+        if missed:
             return kind
     return None
 
@@ -133,7 +135,7 @@ def tw(base: FiniteHeytingAlgebra, nabla, delta) -> TwistStructure:
     dense elements and delta an ideal; over a TBA, nabla must be an open
     filter and delta a closed ideal.  The carrier is materialised, checked
     to be closed under all operations, and checked to project onto the
-    whole base.
+    whole base; these checks run once per (base, nabla, delta).
     """
     nabla = frozenset(nabla)
     delta = frozenset(delta)
@@ -152,12 +154,20 @@ def tw(base: FiniteHeytingAlgebra, nabla, delta) -> TwistStructure:
         if not base.is_ideal(delta):
             raise ValueError("delta is not an ideal of the base")
 
-    ok = _mask(base.n, nabla)[base.join] & _mask(base.n, delta)[base.meet]
+    nabla_mask, delta_mask = _mask(base.n, nabla), _mask(base.n, delta)
+    ok = nabla_mask[base.join] & delta_mask[base.meet]
     pairs = np.argwhere(ok)
     firsts = np.ascontiguousarray(pairs[:, 0])
     seconds = np.ascontiguousarray(pairs[:, 1])
     structure = TwistStructure(base, nabla, delta, firsts, seconds)
-    _verify(structure)
+    # each carrier is verified once per base: the (nabla, delta) masks of
+    # those that passed, at most n**2 of them, never one that failed
+    key = nabla_mask.tobytes() + delta_mask.tobytes()
+    verified = base._cache.setdefault("verified", set())
+    if key not in verified:
+        _verify(structure)
+        if len(verified) < base.n ** 2:
+            verified.add(key)
     return structure
 
 
@@ -187,11 +197,11 @@ def nabla_of(structure: TwistStructure) -> frozenset:
     """Joins of the carrier pairs; recovers the filter invariant."""
     base = structure.base
     values = base.join[structure.firsts, structure.seconds]
-    return frozenset(np.unique(values).tolist())
+    return frozenset(values.tolist())
 
 
 def delta_of(structure: TwistStructure) -> frozenset:
     """Meets of the carrier pairs; recovers the ideal invariant."""
     base = structure.base
     values = base.meet[structure.firsts, structure.seconds]
-    return frozenset(np.unique(values).tolist())
+    return frozenset(values.tolist())

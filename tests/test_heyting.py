@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import slow_is_filter, slow_is_ideal
 from twistlab import heyting, order, tba
 from twistlab.heyting import FiniteHeytingAlgebra
 
@@ -133,6 +134,67 @@ def test_filters_ideals_against_bruteforce(small_algebras):
             set(heyting.enumerate_filters_bruteforce(algebra))
         assert set(heyting.ideals(algebra)) == \
             set(heyting.enumerate_ideals_bruteforce(algebra))
+
+
+def test_bruteforce_scans_agree_on_warm_cache(small_algebras):
+    """The brute-force scans agree with filters(), ideals() and the
+    plain-loop oracles on a second run, when every filter and ideal of
+    the algebra has been kept as checked by the first."""
+    for algebra in small_algebras:
+        subsets = [frozenset(i for i in range(algebra.n) if code >> i & 1)
+                   for code in range(1, 1 << algebra.n)]
+        for _ in range(2):
+            found = set(heyting.enumerate_filters_bruteforce(algebra))
+            assert found == set(heyting.filters(algebra)) == {
+                s for s in subsets if slow_is_filter(algebra, s)}
+            found = set(heyting.enumerate_ideals_bruteforce(algebra))
+            assert found == set(heyting.ideals(algebra)) == {
+                s for s in subsets if slow_is_ideal(algebra, s)}
+
+
+def test_closed_sets_checked_once_within_bound(bool4, monkeypatch):
+    """Over every element mask as ``within`` and every subset, filter and
+    ideal, _is_closed_set agrees with the plain-loop oracle on a first and
+    a second call, and keeps no more than 4n passing sets.  A filter is
+    checked for closure once; a non-filter is refused, and checked, on two
+    calls in a row."""
+    n = bool4.n
+    masks = [np.array([code >> i & 1 for i in range(n)], dtype=bool)
+             for code in range(1 << n)]
+    algebra = FiniteHeytingAlgebra(bool4.meet, bool4.join, bool4.imp,
+                                   bot=bool4.bot)
+    for within in masks:
+        elements = frozenset(np.flatnonzero(within).tolist())
+        for mask in masks:
+            subset = frozenset(np.flatnonzero(mask).tolist())
+            for _ in range(2):
+                assert heyting._is_closed_set(
+                    algebra, subset, within=within) == \
+                    slow_is_filter(algebra, subset, elements)
+                assert heyting._is_closed_set(
+                    algebra, subset, ideal=True, within=within) == \
+                    slow_is_ideal(algebra, subset, elements)
+    assert len(algebra._cache["closed_sets"]) == 4 * n
+
+    checks = []
+    closed_under = heyting._closed_under
+
+    def spy(mask, table):
+        checks.append(table)
+        return closed_under(mask, table)
+
+    monkeypatch.setattr(heyting, "_closed_under", spy)
+    fresh = FiniteHeytingAlgebra(bool4.meet, bool4.join, bool4.imp,
+                                 bot=bool4.bot)
+    top, atoms = fresh.top, [a for a in range(n) if a not in
+                             (fresh.bot, fresh.top)]
+    assert fresh.is_filter({atoms[0], top})
+    assert fresh.is_filter({atoms[0], top})
+    assert len(checks) == 1
+    up_not_meet = frozenset(atoms) | {top}  # up-closed, not meet-closed
+    assert not fresh.is_filter(up_not_meet)
+    assert not fresh.is_filter(up_not_meet)
+    assert len(checks) == 3
 
 
 def test_closed_under_matches_closure_fixpoint(small_algebras):

@@ -303,13 +303,26 @@ def test_validity_profile_matches_individual(kleene_twist):
                            for phi in corpus]
 
 
+def _grid_row(grid, witness):
+    "The row of a witness valuation in the valuation grid ``grid``."
+    row = 0
+    for name, (firsts, seconds) in grid.items():
+        a, b = witness[name]
+        at = np.flatnonzero((firsts == a) & (seconds == b))
+        row = row * len(firsts) + int(at[0])
+    return row
+
+
 @pytest.mark.parametrize("reduce_positive", [True, False])
 def test_validity_profile_large_grid(bool4, reduce_positive):
-    """Four-variable formulas over the 16 pairs of full_twist(bool4): the
-    65536-row grid splits into a 4096-row first chunk, where most
-    formulas are refuted and drop out, and a 61440-row chunk whose
-    pending formulas exceed the cell bound of one reduction, so their
-    verdicts come from several batches."""
+    """Four-variable formulas over the 16 pairs of full_twist(bool4).  A
+    grid of 65536 rows, every variable over every pair, splits into a
+    4096-row first chunk, where most formulas are refuted and drop out,
+    and a 61440-row chunk whose pending formulas exceed the cell bound of
+    one reduction, so their verdicts come from several batches.  With
+    ``reduce_positive`` most formulas scan 4096 rows or fewer, so each
+    formula also comes in a copy that reads both components of every
+    variable, and those copies scan the 65536-row grid."""
     structure = twist.full_twist(bool4)
     s = Var("s")
     r = Var("r")
@@ -325,17 +338,29 @@ def test_validity_profile_large_grid(bool4, reduce_positive):
     corpus = [fm.substitute(phi, mapping)
               for mapping, source in zip(maps, sources) for phi in source]
     corpus = [phi for phi in corpus if len(fm.free_vars(phi)) == 4]
+    if reduce_positive:
+        # x | (~x & x) reads both components of x, in either polarity
+        both = {x.name: Or(x, And(SNeg(x), x)) for x in (p, q, r, s)}
+        corpus += [fm.substitute(phi, both) for phi in corpus]
     results = [is_valid(structure, phi, reduce_positive=reduce_positive)
                for phi in corpus]
-    first_pair = structure.pairs[0]
-    # refuted after the first chunk, or valid: both reach the second one
-    late = [res for res in results
-            if res.valid or res.witness["p"] != first_pair]
-    rows = structure.size ** 4
-    assert rows > semantics._FIRST_CHUNK
-    assert len(late) < len(results)
-    assert (rows - semantics._FIRST_CHUNK) * len(late) > \
-        2 * semantics._BATCH_CELLS
+    # per grid scanned: the cells of its second chunk over the formulas
+    # that reach it, valid or refuted past the first chunk
+    psis, groups = semantics._grouped(structure, corpus, reduce_positive)
+    second_chunk_cells, early = [], 0
+    for members in groups.values():
+        grid = semantics._grid(structure, psis[members[0]], reduce_positive)
+        widths = semantics._widths(grid)
+        chunks = list(semantics._chunks(0, semantics._grid_rows(widths),
+                                        semantics._tail(widths)[1]))
+        late = [i for i in members if results[i].valid or
+                _grid_row(grid, results[i].witness) >= chunks[0][1]]
+        early += len(members) - len(late)
+        if len(chunks) > 1:
+            lo, hi = chunks[1]
+            second_chunk_cells.append((hi - lo) * len(late))
+    assert early > 0
+    assert max(second_chunk_cells) > 2 * semantics._BATCH_CELLS
     want = [res.valid for res in results]
     # both orders, so refuted formulas sit at batch edges in one of them
     assert validity_profile(structure, corpus,

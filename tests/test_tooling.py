@@ -76,7 +76,14 @@ imp[1, 0] = 1
 broken = heyting.FiniteHeytingAlgebra(three.meet, three.join, imp, bot=0)
 alexandrov = tba.powerset_tba(order.FinitePoset.from_pairs(
     2, [(0, 0), (1, 1), (0, 1)]))
+boolean = tba.powerset_tba(order.FinitePoset.from_pairs(2, [(0, 0), (1, 1)]))
+bad_imp = boolean.imp.copy()
+bad_imp[1, 2] = 3
+bad_tba = tba.FiniteTBA(boolean.meet, boolean.join, bad_imp, boolean.bot,
+                        boolean.box)
 for check in (lambda: twist._verify(structure),
+              lambda: twist.tw(bad_tba, {3}, {0}),
+              lambda: twist.tw(bad_tba, {3}, {0}),
               lambda: heyting.dense_filter(broken),
               lambda: heyting.dense_filter(broken),
               lambda: openpairs.lambda_set(alexandrov, {2}),
@@ -91,11 +98,14 @@ for check in (lambda: twist._verify(structure),
 
 def test_checks_raise_under_optimize():
     """Aim 3: the build checks raise under ``python -O`` too.  A carrier
-    with a pair dropped from its membership matrix fails _verify, and an
-    algebra whose dense-element characterisations disagree fails
-    dense_filter on its first call, and again on the next (nothing was
-    cached); so does the lambda set of the non-filter {2} of the 2-chain's
-    powerset algebra, which is not closed under boxed implication."""
+    with a pair dropped from its membership matrix fails _verify.  A
+    carrier that is not closed under a tampered implication fails tw on
+    its first call, and again on the next (a failing carrier is never
+    recorded as verified).  An algebra whose dense-element
+    characterisations disagree fails dense_filter on its first call, and
+    again on the next (nothing was cached); so does the lambda set of the
+    non-filter {2} of the 2-chain's powerset algebra, which is not closed
+    under boxed implication."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
@@ -105,8 +115,38 @@ def test_checks_raise_under_optimize():
     assert done.stdout.splitlines() == [
         "optimize 1",
         "AssertionError carrier not closed under and",
+        "AssertionError carrier not closed under imp",
+        "AssertionError carrier not closed under imp",
         "AssertionError dense-element characterisations disagree",
         "AssertionError dense-element characterisations disagree",
         "AssertionError lambda set not closed under implication",
         "AssertionError lambda set not closed under implication",
     ]
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+from twistlab import companions, heyting, order, twist
+
+algebra = order.heyting_from_poset(order.FinitePoset.from_pairs(
+    3, [(0, 0), (1, 1), (2, 2), (0, 1)]))
+inst = companions.companion_structure(
+    algebra, heyting.filters(algebra, require_dense=True)[0],
+    heyting.ideals(algebra)[0])
+twist.nabla_of(inst.twist), twist.delta_of(inst.twist)
+companions.pipeline_sweep(max_size=2)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_build_and_sweep_skip_masked_arrays():
+    """The builders, the invariant extraction and a small sweep never load
+    numpy.ma, which the first plain ``np.unique`` call imports lazily and
+    which costs tens of milliseconds in a fresh process."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import heyting, order, tba, twist
+from twistlab.companions import companion_structure
 from twistlab.formula import And, Bot, Box, Dia, Imp, Or, SNeg, Var
 from twistlab.semantics import evaluate
 from twistlab.twist import full_twist, nabla_of, delta_of, tw
@@ -220,3 +221,108 @@ def test_closure_failure_matches_loop(data):
                                match=f"^carrier not closed under {want}$"):
                 twist._verify(broken)
     assert slow_closure_failure(holed.member, pairs, tables) == "and"
+
+
+# 16-element realisations, one per class of 4-point posets, with their
+# (open filter, closed ideal) pairs: the bases where the carrier-pair loop
+# is slowest and the per-first-component products matter.
+_REALISATION_BASES = [
+    (algebra, tba.open_filters(algebra), tba.closed_ideals(algebra))
+    for algebra in (tba.s_of(order.heyting_from_poset(poset))[0]
+                    for poset in order.enumerate_posets(4, dedup=True)
+                    if poset.n == 4)
+]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_closure_failure_matches_loop_on_realisations(data):
+    """Over 16-element realisations of the 4-point classes, the closure
+    check names the same first failing operation as a plain loop, for
+    each operation alone and for all of them in order, on the intact
+    carrier, with a pair dropped from the membership matrix, with that
+    pair dropped from the carrier, and with every pair of its first
+    component dropped, so that the first projection misses it."""
+    base, nablas, deltas = data.draw(st.sampled_from(_REALISATION_BASES))
+    assert base.n == 16
+    structure = tw(base, data.draw(st.sampled_from(nablas)),
+                   data.draw(st.sampled_from(deltas)))
+    pairs = structure.pairs
+    hole = data.draw(st.sampled_from(pairs))
+    tables = twist._op_tables(base)
+    holed_member = structure.member.copy()
+    holed_member[hole] = False
+    keep = np.array([pair != hole for pair in pairs])
+    f, s = structure.firsts, structure.seconds
+    rowless = structure.member.copy()
+    rowless[hole[0]] = False
+    cases = [(structure.member, f, s, pairs),
+             (holed_member, f, s, pairs),
+             (holed_member, f[keep], s[keep],
+              [pair for pair in pairs if pair != hole]),
+             (rowless, f[f != hole[0]], s[f != hole[0]],
+              [pair for pair in pairs if pair[0] != hole[0]])]
+    found = []
+    for member, bf, bs, carrier in cases:
+        alone = {kind: slow_closure_failure(member, carrier,
+                                            {kind: tables[kind]})
+                 for kind in tables}
+        for kind in tables:
+            assert twist._closure_failure(
+                member, bf, bs, {kind: tables[kind]}) == alone[kind]
+        want = next((kind for kind in tables if alone[kind]), None)
+        assert twist._closure_failure(member, bf, bs, tables) == want
+        found.append(want)
+    assert found[:2] == [None, "and"]
+
+
+def test_closure_failure_on_single_pairs():
+    """On every one-pair carrier over the oracle bases, most of them with
+    a first projection far from onto, the closure check agrees with the
+    plain loop for each operation: rows of the base without a carrier
+    pair contribute nothing."""
+    for base, _, _ in _ORACLE_BASES:
+        tables = twist._op_tables(base)
+        for a, b in itertools.product(range(base.n), repeat=2):
+            member = np.zeros((base.n, base.n), dtype=bool)
+            member[a, b] = True
+            f, s = np.array([a]), np.array([b])
+            for kind in tables:
+                one = {kind: tables[kind]}
+                assert twist._closure_failure(member, f, s, one) == \
+                    slow_closure_failure(member, [(a, b)], one)
+
+
+def test_each_carrier_verified_once_per_base(monkeypatch, posets4_classes):
+    """Over every instance of the 4-point class with the most instances,
+    built as the sweep builds it (the pipeline instance, then the twist at
+    the instance's own ideal, which over this Boolean algebra repeats the
+    closed-ideal twist), _verify runs exactly once per distinct (base,
+    nabla, delta); the verified carriers and the checked filters and
+    ideals of each base stay within their bounds."""
+    verified = []
+    verify = twist._verify
+
+    def spy(structure):
+        verified.append((id(structure.base), structure.nabla,
+                         structure.delta))
+        verify(structure)
+
+    monkeypatch.setattr(twist, "_verify", spy)
+    algebra = max(map(order.heyting_from_poset, posets4_classes),
+                  key=lambda a: len(heyting.filters(a, require_dense=True))
+                  * len(heyting.ideals(a)))
+    built = []
+    for nabla in heyting.filters(algebra, require_dense=True):
+        for delta in heyting.ideals(algebra):
+            inst = companion_structure(algebra, nabla, delta)
+            built += [inst.twist, inst.heyting_twist, inst.open_pairs,
+                      tw(algebra, nabla, delta)]
+    distinct = {(id(one.base), one.nabla, one.delta) for one in built}
+    assert len(built) == 4 * 256
+    assert len(distinct) < len(built)
+    assert sorted(verified, key=repr) == sorted(distinct, key=repr)
+    for base in {id(one.base): one.base for one in built}.values():
+        assert len(base._cache["verified"]) <= base.n ** 2
+        assert len(base._cache["closed_sets"]) <= 4 * base.n
+
