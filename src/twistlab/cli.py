@@ -48,7 +48,10 @@ def _emit(args, payload, text_lines):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _elements(data, key):
@@ -289,6 +292,10 @@ def main(argv=None) -> int:
         # ValueError covers json.JSONDecodeError, fm.ParseError and
         # semantics.LanguageError
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:
+        # parsing, translating and evaluating recurse on a formula's tree
+        print("error: formula nested too deeply", file=sys.stderr)
         return USAGE_ERROR
 
 

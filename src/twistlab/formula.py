@@ -9,11 +9,22 @@ Four languages share one AST:
 
 Sugar kinds (``neg``, ``iff``, ``siff``, and ``dia`` in Lbox position) are
 accepted by the parser and eliminated by :func:`desugar`.
+
+Concrete syntax, binding loosest first:
+
+    <=>  <->  ->  |  &      binary; & and | associate left, the arrows right
+    ~  !  []  <>            prefix, binding tighter than any binary one
+
+with parentheses, the constant ``bot`` and identifiers: a lowercase letter
+followed by letters, digits or ``_``.  :func:`parse` reads the binary
+connectives from the one table ``_BINARY`` and the prefix ones from
+``_PREFIX``.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 
 __all__ = [
     "Formula", "LanguageTag", "ParseError",
@@ -214,128 +225,79 @@ class ParseError(ValueError):
         self.column = column
 
 
-_SYMBOLS = ("<=>", "<->", "<>", "->", "[]", "~", "!", "&", "|", "(", ")")
+# One token a match: a connective or parenthesis, a word, or any other
+# visible character (an error).  On every character ``\s`` is exactly
+# str.isspace and ``\w`` exactly str.isalnum or "_".
+_TOKEN = re.compile(r"\s*(?:(<=>|<->|<>|->|\[\]|[~!&|()])|(\w+)|(\S))")
+_END = ("", "", "")  # after the last token: no connective and no word
+
+# The grammar's one table: precedence (higher binds tighter), whether the
+# connective associates right, and its constructor.
+_BINARY = {"<=>": (1, True, SIff), "<->": (2, True, Iff), "->": (3, True, Imp),
+           "|": (4, False, Or), "&": (5, False, And)}
+_PREFIX = {"~": SNeg, "!": Neg, "[]": Box, "<>": Dia}
+_TIGHTER = 6  # than every binary connective: a prefix's operand takes none
 
 
-def _tokenize(text):
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append((sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if c.islower():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(("ident", text[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(("end", line, col))
-    return tokens
+class _Stuck(Exception):
+    "Where parsing stopped: (token index, message) for _parse_error."
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _climb(tokens, i, floor):
+    """The formula at tokens[i] whose binary connectives all have
+    precedence at least ``floor``, and the index of the token after it."""
+    sym, word, _ = tokens[i]
+    make = _PREFIX.get(sym)
+    if make is not None:
+        lhs, i = _climb(tokens, i + 1, _TIGHTER)
+        lhs = make(lhs)
+    elif word and word[0].islower():
+        lhs = Bot if word == "bot" else Var(word)
+        i += 1
+    elif sym == "(":
+        lhs, i = _climb(tokens, i + 1, 0)
+        if tokens[i][0] != ")":
+            raise _Stuck(i, "expected ')'")
+        i += 1
+    else:
+        raise _Stuck(i, f"expected a formula, found {sym or 'end'!r}")
+    while True:
+        op = _BINARY.get(tokens[i][0])
+        if op is None or op[0] < floor:
+            return lhs, i
+        rank, right, make = op
+        rhs, i = _climb(tokens, i + 1, rank if right else rank + 1)
+        lhs = make(lhs, rhs)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def error(self, message):
-        tok = self.peek()
-        raise ParseError(message, tok[-2], tok[-1])
-
-    def accept(self, sym):
-        if self.tokens[self.pos][0] == sym:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, sym):
-        if not self.accept(sym):
-            self.error(f"expected {sym!r}")
-
-    # precedence, loosest first: <=>  <->  ->  |  &  unary
-    def siff(self):
-        lhs = self.iff()
-        if self.accept("<=>"):
-            return SIff(lhs, self.siff())
-        return lhs
-
-    def iff(self):
-        lhs = self.imp()
-        if self.accept("<->"):
-            return Iff(lhs, self.iff())
-        return lhs
-
-    def imp(self):
-        lhs = self.disj()
-        if self.accept("->"):
-            return Imp(lhs, self.imp())
-        return lhs
-
-    def disj(self):
-        lhs = self.conj()
-        while self.accept("|"):
-            lhs = Or(lhs, self.conj())
-        return lhs
-
-    def conj(self):
-        lhs = self.unary()
-        while self.accept("&"):
-            lhs = And(lhs, self.unary())
-        return lhs
-
-    def unary(self):
-        if self.accept("~"):
-            return SNeg(self.unary())
-        if self.accept("!"):
-            return Neg(self.unary())
-        if self.accept("[]"):
-            return Box(self.unary())
-        if self.accept("<>"):
-            return Dia(self.unary())
-        return self.atom()
-
-    def atom(self):
-        tok = self.peek()
-        if tok[0] == "ident":
-            self.pos += 1
-            if tok[1] == "bot":
-                return Bot
-            return Var(tok[1])
-        if self.accept("("):
-            inner = self.siff()
-            self.expect(")")
-            return inner
-        self.error(f"expected a formula, found {tok[0]!r}")
+def _parse_error(text, index, message):
+    """The ParseError of a text that does not parse: at its first
+    character that starts no token, else ``message`` at token ``index``
+    (the end of the text when past the last token)."""
+    at = len(text)
+    for k, match in enumerate(_TOKEN.finditer(text)):
+        group = match.lastindex
+        start = match.start(group)
+        if group == 3 or group == 2 and not text[start].islower():
+            message, at = f"unexpected character {text[start]!r}", start
+            break
+        if k == index:
+            at = start
+    return ParseError(message, text.count("\n", 0, at) + 1,
+                      at - text.rfind("\n", 0, at))
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax; sugar connectives are kept in the AST."""
-    parser = _Parser(_tokenize(text))
-    phi = parser.siff()
-    if parser.peek()[0] != "end":
-        parser.error("trailing input")
+    """Parse concrete syntax (see the module docstring); sugar connectives
+    are kept in the AST."""
+    tokens = _TOKEN.findall(text)
+    tokens.append(_END)
+    try:
+        phi, i = _climb(tokens, 0, 0)
+    except _Stuck as stuck:
+        raise _parse_error(text, *stuck.args) from None
+    if tokens[i] is not _END:
+        raise _parse_error(text, i, "trailing input")
     return phi
 
 

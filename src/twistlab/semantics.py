@@ -425,10 +425,13 @@ def is_valid(structure, phi: Formula, jobs: int = 1,
     witness = {name: tuple(int(part[i]) for part in domain)
                for (name, domain), i in zip(grid.items(),
                                             _columns(widths, bad))}
-    if not _is_twist(structure):
-        witness = {name: a for name, (a,) in witness.items()}
-    value = evaluate(structure, psi, witness)
-    return ValidityResult(False, witness, value)
+    # the witness's values are carrier pairs or elements by construction
+    ev = _Vec(structure, witness)
+    if _is_twist(structure):
+        return ValidityResult(False, witness,
+                              (int(ev.eval(psi, 0)), int(ev.eval(psi, 1))))
+    return ValidityResult(False, {name: a for name, (a,) in witness.items()},
+                          int(ev.eval(psi, 0)))
 
 
 def _grouped(structure, formulas, reduce_positive=True):

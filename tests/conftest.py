@@ -5,6 +5,8 @@ import os
 import pytest
 
 from twistlab import formula as fm
+from twistlab.formula import (And, Bot, Box, Dia, Iff, Imp, Neg, Or, SIff,
+                              SNeg, Var)
 from twistlab import order, twist
 
 
@@ -133,6 +135,136 @@ def slow_evaluate(structure, phi, valuation):
         raise ValueError(kind)
 
     return walk(phi)
+
+
+# Reference parser for the concrete syntax
+
+_SYMBOLS = ("<=>", "<->", "<>", "->", "[]", "~", "!", "&", "|", "(", ")")
+
+
+def _tokenize(text):
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append((sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            if c.islower():
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                tokens.append(("ident", text[i:j], line, col))
+                col += j - i
+                i = j
+            else:
+                raise fm.ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(("end", line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def error(self, message):
+        tok = self.peek()
+        raise fm.ParseError(message, tok[-2], tok[-1])
+
+    def accept(self, sym):
+        if self.tokens[self.pos][0] == sym:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, sym):
+        if not self.accept(sym):
+            self.error(f"expected {sym!r}")
+
+    # precedence, loosest first: <=>  <->  ->  |  &  unary
+    def siff(self):
+        lhs = self.iff()
+        if self.accept("<=>"):
+            return SIff(lhs, self.siff())
+        return lhs
+
+    def iff(self):
+        lhs = self.imp()
+        if self.accept("<->"):
+            return Iff(lhs, self.iff())
+        return lhs
+
+    def imp(self):
+        lhs = self.disj()
+        if self.accept("->"):
+            return Imp(lhs, self.imp())
+        return lhs
+
+    def disj(self):
+        lhs = self.conj()
+        while self.accept("|"):
+            lhs = Or(lhs, self.conj())
+        return lhs
+
+    def conj(self):
+        lhs = self.unary()
+        while self.accept("&"):
+            lhs = And(lhs, self.unary())
+        return lhs
+
+    def unary(self):
+        if self.accept("~"):
+            return SNeg(self.unary())
+        if self.accept("!"):
+            return Neg(self.unary())
+        if self.accept("[]"):
+            return Box(self.unary())
+        if self.accept("<>"):
+            return Dia(self.unary())
+        return self.atom()
+
+    def atom(self):
+        tok = self.peek()
+        if tok[0] == "ident":
+            self.pos += 1
+            if tok[1] == "bot":
+                return Bot
+            return Var(tok[1])
+        if self.accept("("):
+            inner = self.siff()
+            self.expect(")")
+            return inner
+        self.error(f"expected a formula, found {tok[0]!r}")
+
+
+def slow_parse(text):
+    """Reference parser: a character-by-character tokenizer and recursive
+    descent, one method per precedence level.  It loops forever on the
+    few lowercase characters that are not alphanumeric (such as U+24D0),
+    so property tests draw no such character."""
+    parser = _Parser(_tokenize(text))
+    phi = parser.siff()
+    if parser.peek()[0] != "end":
+        parser.error("trailing input")
+    return phi
 
 
 def slow_is_valid(structure, phi):

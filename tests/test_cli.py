@@ -271,6 +271,10 @@ _POSET = {"type": "poset", "size": 2, "le": [[0, 0], [1, 1]]}
           ("poset-le-not-pair", {**_POSET, "le": [[0, 0], 5]}))],
     pytest.param("check", _chain3_json(formulas=5), [], 2,
                  id="check-formulas-int"),
+    pytest.param("check", _chain3_json(), ["~" * 3000 + "p"], 2,
+                 id="check-nested-sneg"),
+    pytest.param("check", _chain3_json(), ["(" * 2000 + "p" + ")" * 2000], 2,
+                 id="check-nested-parentheses"),
     *[pytest.param(command, data, extra, 2, id=f"{command}-{name}-size-{tag}")
       for command, extra in (("check", ["p -> p"]), ("validate", []))
       for name, data in (("heyting", _chain3_json()),
@@ -293,3 +297,23 @@ def test_malformed_input_exit_codes(capsys, tmp_path, command, data, extra,
         assert captured.err.startswith("error: ")
     else:
         assert "violation: nabla is not a filter" in captured.out
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("~" * 3000 + "p", id="strong-negation"),
+    pytest.param("(" * 2000 + "p" + ")" * 2000, id="parentheses"),
+    pytest.param("p -> " * 3000 + "p", id="implication")])
+def test_deep_formula_is_input_error(capsys, tmp_path, text):
+    """A formula nested deeper than the interpreter's recursion limit is
+    an input error, whether parsing or evaluating it gives out."""
+    path = tmp_path / "chain3.json"
+    path.write_text(json.dumps(_chain3_json()))
+    assert cli.main(["check", str(path), text]) == 2
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
+def test_deep_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.endswith("JSON nested too deeply\n")

@@ -7,6 +7,8 @@ from twistlab.formula import (And, Bot, Box, Dia, Iff, Imp, Neg, Or, SIff,
                               SNeg, Var)
 from twistlab.semantics import enumerate_formulas
 
+from conftest import slow_parse
+
 p, q = Var("p"), Var("q")
 
 
@@ -29,6 +31,10 @@ def test_parse_modified_kleene_desugars():
 def test_parse_precedence_and_associativity():
     assert fm.parse("p & q & p") == And(And(p, q), p)
     assert fm.parse("p -> q -> p") == Imp(p, Imp(q, p))
+    assert fm.parse("p | q | p") == Or(Or(p, q), p)
+    assert fm.parse("p <-> q <=> p <=> q") == \
+        SIff(Iff(p, q), SIff(p, q))
+    assert fm.parse("~p -> q <-> p") == Iff(Imp(SNeg(p), q), p)
     assert fm.parse("p | q & p") == Or(p, And(q, p))
     assert fm.parse("[]p & <>q") == And(Box(p), Dia(q))
     assert fm.parse("~p & !q") == And(SNeg(p), Neg(q))
@@ -46,6 +52,37 @@ def test_parse_errors_carry_position():
         fm.parse("p q")
     with pytest.raises(fm.ParseError):
         fm.parse("P")
+
+
+@pytest.mark.parametrize("text,message,line,column", [
+    ("p &\n& q", "expected a formula, found '&'", 2, 1),
+    ("p ->", "expected a formula, found 'end'", 1, 5),
+    ("(p & q", "expected ')'", 1, 7),
+    ("p q", "trailing input", 1, 3),
+    ("P", "unexpected character 'P'", 1, 1),
+    ("9p", "unexpected character '9'", 1, 1),
+    ("p $", "unexpected character '$'", 1, 3),
+    ("p <- q", "unexpected character '<'", 1, 3),
+    ("[p]", "unexpected character '['", 1, 1),
+    ("", "expected a formula, found 'end'", 1, 1),
+    ("  ", "expected a formula, found 'end'", 1, 3),
+    (")", "expected a formula, found ')'", 1, 1),
+    ("p\r\n-> Q", "unexpected character 'Q'", 2, 4),
+    # a character no token starts is reported before an earlier misparse
+    ("p q $", "unexpected character '$'", 1, 5),
+])
+def test_parse_error_message_line_column(text, message, line, column):
+    with pytest.raises(fm.ParseError) as err:
+        fm.parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == \
+        (f"{line}:{column}: {message}", line, column)
+
+
+def test_lowercase_symbol_is_unexpected_character():
+    """A lowercase character that is not alphanumeric, such as U+24D0,
+    starts no identifier."""
+    with pytest.raises(fm.ParseError, match="1:3: unexpected character"):
+        fm.parse("p ⓐ")
 
 
 def test_reserved_word_is_constant_not_variable():
@@ -303,3 +340,40 @@ def test_pretty_parse_round_trip_random(phi):
     """Every query text goes through parse; pretty's output parses back to
     the same formula on random ones too, sugar and modalities included."""
     assert fm.parse(fm.pretty(phi)) is phi
+
+
+_ALPHABET = ("<=>", "<->", "<>", "->", "[]", "~", "!", "&", "|", "(", ")",
+             "<", "-", "[", "p", "q", "bot", " ", "\n", "\r\n", "\t", "P",
+             "9", "\u00e9", "$")
+_OPERANDS = st.tuples(st.sampled_from(("", "~", "!", "[]", "<>", "~!")),
+                      st.sampled_from(("p", "q", "bot"))).map("".join)
+# unparenthesised chains, where precedence and associativity decide
+_CHAINS = st.builds(
+    lambda first, rest: " ".join([first, *(f"{op} {x}" for op, x in rest)]),
+    _OPERANDS, st.lists(st.tuples(st.sampled_from(
+        ("<=>", "<->", "->", "|", "&")), _OPERANDS), max_size=5))
+_WELL_FORMED = st.one_of(_FORMULAS.map(fm.pretty), _CHAINS)
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_ALPHABET), max_size=24).map("".join),
+    # a well-formed text with one token inserted or a stretch cut out
+    st.builds(lambda text, at, token, cut: text[:at] + token + text[at + cut:],
+              _WELL_FORMED, st.integers(0, 30),
+              st.sampled_from(_ALPHABET + ("",)), st.integers(0, 3)),
+    _WELL_FORMED)
+
+
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(_TEXTS)
+def test_parse_matches_reference_parser(text):
+    """parse returns the reference parser's formula or raises its error,
+    with the same message, line and column, on random token strings and
+    on well-formed texts, intact or with one token inserted or removed."""
+    try:
+        want = slow_parse(text)
+    except fm.ParseError as err:
+        want = (str(err), err.line, err.column)
+    try:
+        got = fm.parse(text)
+    except fm.ParseError as err:
+        got = (str(err), err.line, err.column)
+    assert got is want or got == want

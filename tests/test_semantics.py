@@ -571,9 +571,9 @@ def _structures(draw, twisted=st.booleans()):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(st.data())
 def test_fast_paths_match_oracles(data):
-    """evaluate, is_valid (least witness included, with and without the
-    component domains) and validity_profile against the plain-loop
-    oracles, on every connective and every kind of structure."""
+    """evaluate, is_valid (least witness and its value included, with and
+    without the component domains) and validity_profile against the
+    plain-loop oracles, on every connective and every kind of structure."""
     structure, language = data.draw(_structures())
     formulas = data.draw(st.lists(language, min_size=1, max_size=4))
     is_twist = isinstance(structure, twist.TwistStructure)
@@ -587,6 +587,9 @@ def test_fast_paths_match_oracles(data):
         for reduce in (True, False):
             mine = is_valid(structure, phi, reduce_positive=reduce)
             assert (mine.valid, mine.witness) == want
+            if not mine.valid:
+                assert mine.value == \
+                    slow_evaluate(structure, phi, mine.witness)
     for reduce in (True, False):
         assert validity_profile(structure, formulas,
                                 reduce_positive=reduce) == \
