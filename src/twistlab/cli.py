@@ -54,6 +54,14 @@ def _load_json(path):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _positive_int(text):
+    """A count option's value: a positive integer, else a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _elements(data, key):
     values = data[key]
     if not (isinstance(values, list) and all(
@@ -177,8 +185,12 @@ def cmd_companion(args):
     instance = companion_structure(algebra, nabla, delta)
     if args.corpus:
         raw = _load_json(args.corpus)
-        corpus = [fm.parse(text) for text in _formula_texts(
-            raw["formulas"] if isinstance(raw, dict) else raw)]
+        if isinstance(raw, dict):
+            if "formulas" not in raw:
+                raise ValueError(
+                    f'{args.corpus}: corpus object has no "formulas" key')
+            raw = raw["formulas"]
+        corpus = [fm.parse(text) for text in _formula_texts(raw)]
     else:
         corpus = semantics.default_corpus()
     report = semantics.twtop_check(instance.twist, corpus)
@@ -240,7 +252,7 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("formula", nargs="?",
                    help="formula text; defaults to the file's formulas")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("translate", help="apply a modal translation")
@@ -265,7 +277,7 @@ def build_parser():
     p = sub.add_parser("grz-search",
                        help="search finite posets for a refuting model")
     p.add_argument("formula")
-    p.add_argument("--max-worlds", type=int, default=5)
+    p.add_argument("--max-worlds", type=_positive_int, default=5)
     p.set_defaults(func=cmd_grz_search)
 
     p = sub.add_parser("kleene-demo",
@@ -274,7 +286,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="enumerate small structures")
     p.add_argument("--type", required=True, choices=("poset", "heyting"))
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
     p.add_argument("--dedup", action="store_true",
                    help="one representative per isomorphism class")
     p.set_defaults(func=cmd_enumerate)

@@ -33,7 +33,8 @@ from .heyting import FiniteHeytingAlgebra, _closed_under, _mask, closure_n, \
 from .order import enumerate_posets, heyting_from_poset
 from .tba import FiniteTBA, open_elements, open_filters, closed_ideals, \
     powerset_tba, rho_map, satisfies_grz, sigma_map, s_of
-from .twist import TwistStructure, _closure_failure, _op_tables, tw
+from .twist import TwistStructure, _closure_failure, _op_tables, \
+    _pair_mask, tw
 
 __all__ = [
     "CompanionInstance", "companion_structure", "is_form_sharp",
@@ -106,8 +107,11 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
 
     delta_closure = closure_n(algebra, delta)
     heyting_twist = tw(algebra, nabla, delta_closure)
-    image = {(iso[a], iso[b]) for a, b in heyting_twist.pairs}
-    if set(openpairs.g2(twist)) != image:
+    to_tba = np.asarray(iso, dtype=np.intp)
+    image = _pair_mask(tba.n, to_tba[heyting_twist.firsts],
+                       to_tba[heyting_twist.seconds])
+    if not np.array_equal(_pair_mask(tba.n, *openpairs._open_pairs(twist)),
+                          image):
         raise AssertionError(
             "open pairs differ from the closed-ideal twist over the source")
     pairs_algebra = openpairs.open_pairs_algebra(twist)
@@ -423,9 +427,8 @@ def _check_open_pair_lemmas(report, label, instance):
     if not (base.meet[rng, box[neg_t]] == base.bot).all():
         report.fail("l311_1", label)
     f, s = openpairs._open_pairs(structure)
-    g2_member = np.zeros((base.n, base.n), dtype=bool)
-    g2_member[f, s] = True
-    opens = frozenset(np.flatnonzero(base.open_mask()).tolist())
+    g2_member = _pair_mask(base.n, f, s)
+    opens = open_elements(base)
     gam = frozenset(f.tolist())
     if not gam <= opens:
         report.fail("l311_2", label)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .heyting import _closed_under, _mask
 from .tba import _boxed_subalgebra, open_elements
-from .twist import TwistStructure, _op_tables, tw
+from .twist import TwistStructure, _op_tables, _pair_mask, tw
 
 __all__ = [
     "g2", "gamma", "lambda_set", "nabla_g", "delta_g",
@@ -26,11 +26,18 @@ def _require_modal(structure):
 
 
 def _open_pairs(structure):
-    """First and second components of the open pairs, in carrier order."""
-    _require_modal(structure)
-    opens = structure.base.open_mask()
-    keep = opens[structure.firsts] & opens[structure.seconds]
-    return structure.firsts[keep], structure.seconds[keep]
+    """First and second components of the open pairs, in carrier order, as
+    read-only arrays kept in the structure's cache."""
+    cached = structure._cache.get("open_pairs")
+    if cached is None:
+        _require_modal(structure)
+        opens = structure.base.open_mask()
+        keep = opens[structure.firsts] & opens[structure.seconds]
+        cached = structure.firsts[keep], structure.seconds[keep]
+        for part in cached:
+            part.setflags(write=False)
+        structure._cache["open_pairs"] = cached
+    return cached
 
 
 def g2(structure: TwistStructure) -> list:
@@ -144,8 +151,11 @@ def open_pairs_algebra(structure: TwistStructure) -> TwistStructure:
     nabla = frozenset(pos[a] for a in nabla_g(structure))
     delta = frozenset(pos[a] for a in delta_g(structure))
     result = tw(sub, nabla, delta)
-    expected = {(pos[a], pos[b]) for a, b in g2(structure)}
-    if set(zip(result.firsts.tolist(), result.seconds.tolist())) != expected:
+    to_base = np.asarray(embed, dtype=np.intp)
+    embedded = _pair_mask(base.n, to_base[result.firsts],
+                          to_base[result.seconds])
+    if not np.array_equal(embedded,
+                          _pair_mask(base.n, *_open_pairs(structure))):
         raise AssertionError("open pairs differ from the reconstructed twist")
     result.embed = tuple(embed)
     return result

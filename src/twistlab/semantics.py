@@ -68,7 +68,6 @@ __all__ = [
     "LanguageError", "CapExceededError", "ValidityResult",
     "evaluate", "is_valid", "validity_profile", "validity_table",
     "enumerate_formulas", "default_corpus", "twtop_check", "TwTopReport",
-    "pi1_commutes",
 ]
 
 DEFAULT_CAP = 10_000_000
@@ -658,20 +657,3 @@ def twtop_check(structure: TwistStructure, formulas) -> TwTopReport:
             "translation equivalence failed although its hypotheses hold")
     return report
 
-
-def pi1_commutes(structure: TwistStructure, psi: Formula) -> bool:
-    """Exhaustively confirm that the first projection of a positive
-    formula's value equals the base value of the projected valuation."""
-    phi = _prepare(structure, psi)
-    if phi.flags & fm.HAS_SNEG:
-        raise ValueError("pi1_commutes expects a formula without ~")
-    grid = _grid(structure, phi, reduce_positive=False)
-    for lo, hi in _chunks(0, _grid_rows(_widths(grid)),
-                          _tail(_widths(grid))[1]):
-        ev = _grid_vec(structure, grid, lo, hi)
-        base_assign = {nm: (f,) for nm, (f, _) in ev.assign.items()}
-        base_val = _Vec(structure.base, base_assign).eval(phi, 0)
-        if not np.all(ev.eval(phi, 0) == base_val):
-            return False
-        del ev, base_assign, base_val  # freed before the next grid is built
-    return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .heyting import FiniteHeytingAlgebra, _closure, _is_closed_set, \
-    _sized, _table, is_boolean
+    _mask, _sized, _table, is_boolean
 from .order import FinitePoset, join_irreducible_poset
 
 __all__ = [
@@ -30,6 +30,20 @@ class FiniteTBA(FiniteHeytingAlgebra):
         super().__init__(meet, join, imp, bot)
         self.box = _table(box, (self.n,))
 
+    @classmethod
+    def _over(cls, algebra: FiniteHeytingAlgebra, box):
+        """The TBA on the already checked tables of ``algebra`` with the
+        interior ``box``; only ``box`` is checked here.  The tables are
+        shared, not copied (they are read-only), and so are the order, top
+        and negation derived from them."""
+        tba = cls.__new__(cls)
+        tba.n, tba.bot = algebra.n, algebra.bot
+        tba.meet, tba.join, tba.imp = algebra.meet, algebra.join, algebra.imp
+        tba.box = _table(box, (algebra.n,))
+        tba._cache = {"le": algebra.le, "top": algebra.top,
+                      "neg": algebra.neg_table}
+        return tba
+
     @property
     def dia_table(self) -> np.ndarray:
         cached = self._cache.get("dia")
@@ -44,7 +58,13 @@ class FiniteTBA(FiniteHeytingAlgebra):
         return int(self.dia_table[a])
 
     def open_mask(self) -> np.ndarray:
-        return self.box == np.arange(self.n, dtype=np.intp)
+        """Read-only boolean mask of the open elements, kept in the cache."""
+        cached = self._cache.get("opens")
+        if cached is None:
+            cached = self.box == np.arange(self.n, dtype=np.intp)
+            cached.setflags(write=False)
+            self._cache["opens"] = cached
+        return cached
 
     def validate(self):
         report = super().validate()
@@ -82,8 +102,12 @@ class FiniteTBA(FiniteHeytingAlgebra):
 
 
 def open_elements(algebra: FiniteTBA) -> frozenset:
-    """Fixed points of the interior operator."""
-    return frozenset(np.flatnonzero(algebra.open_mask()).tolist())
+    """Fixed points of the interior operator, kept in the cache."""
+    cached = algebra._cache.get("open_elements")
+    if cached is None:
+        cached = frozenset(np.flatnonzero(algebra.open_mask()).tolist())
+        algebra._cache["open_elements"] = cached
+    return cached
 
 
 def open_algebra(algebra: FiniteTBA):
@@ -116,27 +140,49 @@ def _boxed_subalgebra(algebra: FiniteTBA, elements) -> FiniteHeytingAlgebra:
     return built[key]
 
 
-def _subset_order(n):
-    """The subsets of n points as bitmasks in (popcount, bitmask) order, and
-    the inverse: the position of each bitmask in that order."""
+# Sizes of at most this many points keep their Boolean algebra in
+# _BOOLEANS: at most 7 algebras, the largest of 64 elements, about 0.2 MB of
+# tables in all.  The sweeps build over at most 5 points.
+_BOOLEAN_POINTS = 6
+_BOOLEANS = {}
+
+
+def _powerset_boolean(n):
+    """The Boolean algebra of the subsets of n points in (popcount,
+    bitmask) order, with ``elems``, the bitmask of each element, and
+    ``index``, the element of each bitmask.  It is built through the public
+    constructor, so its tables are checked, and for n <= _BOOLEAN_POINTS
+    it is kept, so those are built and checked once per size."""
+    kept = _BOOLEANS.get(n)
+    if kept is not None:
+        return kept
     masks = np.arange(1 << n, dtype=np.intp)
     elems = np.argsort(np.bitwise_count(masks), kind="stable")
     index = np.empty_like(elems)
     index[elems] = masks
-    return elems, index
+    elems.setflags(write=False)
+    index.setflags(write=False)
+    s, t = elems[:, None], elems[None, :]
+    algebra = FiniteHeytingAlgebra(index[s & t], index[s | t],
+                                   index[~s & ((1 << n) - 1) | t],
+                                   bot=index[0])
+    kept = algebra, elems, index
+    if n <= _BOOLEAN_POINTS:
+        _BOOLEANS[n] = kept
+    return kept
 
 
 def powerset_tba(poset: FinitePoset) -> FiniteTBA:
     """Alexandrov algebra of a poset: all subsets, interior = largest
-    contained up-set.  Elements are ordered by (popcount, bitmask)."""
+    contained up-set.  Elements are ordered by (popcount, bitmask).  Every
+    poset of one size shares the Boolean tables of ``_powerset_boolean``;
+    only its interior is computed and checked here."""
     n = poset.n
-    elems, index = _subset_order(n)
-    s, t = elems[:, None], elems[None, :]
+    boolean, elems, index = _powerset_boolean(n)
     # the interior of s: the points x whose up-set lies inside s
-    inside = np.asarray(poset.up, dtype=np.intp) & ~s == 0      # [s, x]
-    interior = inside @ (1 << np.arange(n, dtype=np.intp))
-    return FiniteTBA(index[s & t], index[s | t], index[~s & ((1 << n) - 1) | t],
-                     bot=index[0], box=index[interior])
+    inside = np.asarray(poset.up, dtype=np.intp) & ~elems[:, None] == 0
+    interior = inside @ (1 << np.arange(n, dtype=np.intp))     # [s, x]
+    return FiniteTBA._over(boolean, index[interior])
 
 
 def s_of(algebra: FiniteHeytingAlgebra):
@@ -156,7 +202,7 @@ def s_of(algebra: FiniteHeytingAlgebra):
     irr = algebra.join_irreducibles()
     tba = powerset_tba(jposet)
     # a maps to the set of (positions of) irreducibles below it
-    iso = _subset_order(jposet.n)[1][
+    iso = _powerset_boolean(jposet.n)[2][
         (1 << np.arange(len(irr), dtype=np.intp)) @ algebra.le[irr]]
 
     opens = tba.open_mask()
@@ -192,15 +238,17 @@ def closed_ideals(algebra: FiniteTBA) -> list:
 
 
 def _is_open_filter(algebra, subset):
-    subset = frozenset(subset)
-    return (algebra.is_filter(subset)
-            and all(int(algebra.box[a]) in subset for a in subset))
+    if not algebra.is_filter(subset):
+        return False
+    mask = _mask(algebra.n, subset)
+    return bool(mask[algebra.box[mask]].all())
 
 
 def _is_closed_ideal_tba(algebra, subset):
-    subset = frozenset(subset)
-    return (algebra.is_ideal(subset)
-            and all(int(algebra.dia_table[a]) in subset for a in subset))
+    if not algebra.is_ideal(subset):
+        return False
+    mask = _mask(algebra.n, subset)
+    return bool(mask[algebra.dia_table[mask]].all())
 
 
 def _is_g_filter(algebra, subset):
@@ -249,17 +297,21 @@ def sigma_map(algebra: FiniteTBA, delta) -> frozenset:
 def satisfies_grz(algebra: FiniteTBA):
     """Check the Grzegorczyk axiom over all single-element valuations.
 
-    Returns (True, None) or (False, witness element).
+    Returns (True, None) or (False, witness element); the verdict is kept
+    in the algebra's cache.
     """
+    cached = algebra._cache.get("grz")
+    if cached is not None:
+        return cached
     rng = np.arange(algebra.n, dtype=np.intp)
     box, imp = algebra.box, algebra.imp
     inner = box[imp[rng, box]]          # [](p -> []p)
     outer = box[imp[inner, rng]]        # []([](p -> []p) -> p)
     value = imp[outer, rng]
     failing = np.flatnonzero(value != algebra.top)
-    if len(failing):
-        return False, int(failing[0])
-    return True, None
+    cached = (False, int(failing[0])) if len(failing) else (True, None)
+    algebra._cache["grz"] = cached
+    return cached
 
 
 # ---------------------------------------------------------------------------

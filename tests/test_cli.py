@@ -141,6 +141,45 @@ def test_companion_corpus_not_strings(capsys, tmp_path, three_file, corpus):
         "error: formulas must be a list of strings\n"
 
 
+def test_companion_corpus_without_formulas(capsys, tmp_path, three_file):
+    """A corpus object without a "formulas" key names the missing key."""
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"formula": ["p -> p"]}))
+    code = cli.main(["companion", three_file, "--nabla", "1,2",
+                     "--delta", "0,1", "--corpus", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f'error: {path}: corpus object has no "formulas" key\n'
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["enumerate", "--type", "poset", "--max-size", "-1"],
+                 id="enumerate-max-size-negative"),
+    pytest.param(["enumerate", "--type", "heyting", "--max-size", "0"],
+                 id="enumerate-max-size-zero"),
+    pytest.param(["grz-search", "p", "--max-worlds", "-1"],
+                 id="grz-search-max-worlds-negative"),
+    pytest.param(["grz-search", "p", "--max-worlds", "0"],
+                 id="grz-search-max-worlds-zero"),
+    pytest.param(["grz-search", "p", "--max-worlds", "2.5"],
+                 id="grz-search-max-worlds-float"),
+    pytest.param(["check", "KLEENE", "p -> p", "--jobs", "0"],
+                 id="check-jobs-zero"),
+    pytest.param(["check", "KLEENE", "p -> p", "--jobs", "-3"],
+                 id="check-jobs-negative"),
+])
+def test_malformed_count_is_usage_error(capsys, kleene_file, argv):
+    """A count option that is not a positive integer is a usage error
+    (exit 2 and a message), never an empty or serial run."""
+    argv = [kleene_file if arg == "KLEENE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[-1]!r} is not a positive integer" in captured.err
+
+
 def test_companion_bad_filter(capsys, three_file):
     code, _ = run(capsys, "companion", three_file,
                   "--nabla", "2", "--delta", "0")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twistlab import companions, formula as fm
-from twistlab import heyting, order, semantics, tba, twist
+from twistlab import heyting, openpairs, order, semantics, tba, twist
 from twistlab.companions import (companion_structure,
                                  closed_ideal_axiom_check, form_sharp_corpus,
                                  is_form_sharp, kleene_box_implication_scan,
@@ -302,6 +302,73 @@ def test_build_facts_cached_per_algebra(posets4_classes):
     assert instances[0].open_pairs.base is \
         boxed[instances[0].open_pairs.embed]
     assert algebra._cache["dense"] is heyting.dense_filter(algebra)
+
+
+def test_every_build_check_runs_once(monkeypatch):
+    """Over every pipeline instance of the classes of at most 3 points,
+    each distinct carrier (base, nabla, delta) of the three twists an
+    instance builds is verified exactly once, and every table that a
+    structure of the pipeline holds went through heyting._table exactly
+    once: the shared Boolean tables once per size (their memo starts empty
+    here), each interior and each subalgebra's tables once."""
+    monkeypatch.setattr(tba, "_BOOLEANS", {})
+    checked, rechecked = [], []
+
+    def table(data, shape, real=heyting._table):
+        if any(data is arr for arr in checked):
+            rechecked.append(data)
+        checked.append(real(data, shape))
+        return checked[-1]
+
+    verified = []
+
+    def verify(structure, real=twist._verify):
+        verified.append((id(structure.base), structure.nabla,
+                         structure.delta))
+        real(structure)
+
+    monkeypatch.setattr(heyting, "_table", table)
+    monkeypatch.setattr(tba, "_table", table)
+    monkeypatch.setattr(twist, "_verify", verify)
+    instances = [companion_structure(algebra, nabla, delta)
+                 for algebra in map(order.heyting_from_poset,
+                                    order.enumerate_posets(3, dedup=True))
+                 for nabla in heyting.filters(algebra, require_dense=True)
+                 for delta in heyting.ideals(algebra)]
+    carriers = {(id(structure.base), structure.nabla, structure.delta)
+                for inst in instances
+                for structure in (inst.twist, inst.heyting_twist,
+                                  inst.open_pairs)}
+    assert len(instances) == 152
+    assert len(verified) == len(set(verified)) == len(carriers)
+    assert set(verified) == carriers
+    held = [getattr(algebra, name)
+            for inst in instances
+            for algebra in (inst.algebra, inst.tba, inst.open_pairs.base)
+            for name in ("meet", "join", "imp", "box")
+            if hasattr(algebra, name)]
+    assert {id(arr) for arr in held} <= {id(arr) for arr in checked}
+    assert not rechecked
+    assert sorted(tba._BOOLEANS) == [1, 2, 3]
+
+
+def test_open_pairs_mismatch_is_reported(monkeypatch, three):
+    """With the ideal's closure skipped, the open pairs of the lifted twist
+    are not the twist over the source, and the carrier comparison says
+    so; with the reconstructed ideal cut to bottom, the open-pairs algebra
+    is not the open pairs, and its comparison says so."""
+    nabla, delta = frozenset({1, 2}), frozenset({0, 1})
+    with monkeypatch.context() as patch:
+        patch.setattr(companions, "closure_n", lambda algebra, d: d)
+        with pytest.raises(AssertionError, match="^open pairs differ from "
+                           "the closed-ideal twist over the source$"):
+            companion_structure(three, nabla, delta)
+    lifted = companion_structure(three, nabla, delta).twist
+    monkeypatch.setattr(openpairs, "delta_g",
+                        lambda structure: frozenset({structure.base.bot}))
+    with pytest.raises(AssertionError, match="^open pairs differ from the "
+                       "reconstructed twist$"):
+        openpairs.open_pairs_algebra(lifted)
 
 
 def test_delta_rho_failure_is_reported(monkeypatch, chain2):

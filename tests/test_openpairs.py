@@ -27,6 +27,16 @@ def gamma_breaks_lambda(chain2):
                     frozenset(range(algebra.n)))
 
 
+def test_open_pairs_cached_read_only(pipeline):
+    """A twist's open pairs are computed once and refuse writes."""
+    f, s = openpairs._open_pairs(pipeline.twist)
+    assert openpairs._open_pairs(pipeline.twist)[0] is f
+    for part in (f, s):
+        with pytest.raises(ValueError):
+            part[0] = part[-1]
+    assert openpairs.g2(pipeline.twist) == list(zip(f.tolist(), s.tolist()))
+
+
 def test_g2_identity_box_is_carrier(identity_full):
     assert openpairs.g2(identity_full) == identity_full.pairs
 

@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from twistlab import heyting, order
 from twistlab.heyting import FiniteHeytingAlgebra
 from twistlab.tba import FiniteTBA, powerset_tba
@@ -50,6 +53,32 @@ def test_builders_match_definitions():
         alexandrov, up_set_algebra = plain_alexandrov(poset)
         assert powerset_tba(poset) == alexandrov
         assert order.heyting_from_poset(poset) == up_set_algebra
+
+
+@st.composite
+def _posets(draw, max_n=5):
+    """A random poset of at most max_n points: the transitive closure of
+    a random set of edges i -> j with i < j, relabeled by a random
+    permutation."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    label = draw(st.permutations(range(n)))
+    return order.FinitePoset.from_pairs(
+        n, [(label[i], label[j]) for i, j in edges], closure=True)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_posets())
+def test_builders_match_definitions_random(poset):
+    """On random posets of at most 5 points, the builders over the shared
+    Boolean tables agree with the plain-loop definitions."""
+    assert order.validate_poset(poset) is None
+    alexandrov, up_set_algebra = plain_alexandrov(poset)
+    assert powerset_tba(poset) == alexandrov
+    assert order.heyting_from_poset(poset) == up_set_algebra
 
 
 def test_validate_chain_ok(chain2):

@@ -37,6 +37,55 @@ def test_powerset_tba_valid_small():
         assert tba.powerset_tba(poset).validate() is None
 
 
+def test_powerset_tables_shared_per_size():
+    """Posets of one size share the read-only Boolean tables, derived
+    order and negation of their size; each has its own interior."""
+    chain = order.FinitePoset.from_pairs(3, [(0, 1), (1, 2)], closure=True)
+    antichain = order.FinitePoset.from_pairs(3, [(0, 0), (1, 1), (2, 2)])
+    one, two = tba.powerset_tba(chain), tba.powerset_tba(antichain)
+    for name in ("meet", "join", "imp", "le", "neg_table"):
+        table = getattr(one, name)
+        assert table is getattr(two, name)
+        with pytest.raises(ValueError):
+            table[0, ...] = table[-1, ...]
+    assert one.top == two.top
+    assert not np.array_equal(one.box, two.box)
+    assert one.validate() is None and two.validate() is None
+    assert (two.box == np.arange(two.n)).all()
+
+
+def test_boolean_memo_bounded():
+    """The memo keeps the Boolean algebras of at most _BOOLEAN_POINTS
+    points; a larger size is built, and checked, on every call."""
+    bound = tba._BOOLEAN_POINTS
+    for n in range(1, bound + 3):
+        antichain = order.FinitePoset(n, tuple(1 << i for i in range(n)))
+        algebra = tba.powerset_tba(antichain)
+        assert algebra.n == 1 << n
+        assert (algebra.box == np.arange(algebra.n)).all()
+        again = tba.powerset_tba(antichain)
+        assert (again.meet is algebra.meet) == (n <= bound)
+        assert np.array_equal(again.meet, algebra.meet)
+    assert set(tba._BOOLEANS) <= set(range(bound + 1))
+
+
+def test_cached_facts_read_only(chain_tba, chain2):
+    """The open mask is computed once and refuses writes; the open
+    elements and the Grzegorczyk verdict are kept too."""
+    mask = chain_tba.open_mask()
+    assert mask is chain_tba.open_mask()
+    assert mask.tolist() == (chain_tba.box == np.arange(chain_tba.n)).tolist()
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
+    assert tba.open_elements(chain_tba) is tba.open_elements(chain_tba)
+    assert tba.open_elements(chain_tba) == frozenset(
+        np.flatnonzero(mask).tolist())
+    fresh = tba.powerset_tba(chain2)
+    assert tba.satisfies_grz(fresh) == (True, None)
+    fresh._cache["grz"] = (False, 0)  # a kept verdict is not recomputed
+    assert tba.satisfies_grz(fresh) == (False, 0)
+
+
 def test_validate_rejects_constant_bot_box(bool4):
     broken = FiniteTBA(bool4.meet, bool4.join, bool4.imp, bool4.bot,
                        [bool4.bot] * bool4.n)
@@ -145,7 +194,8 @@ def test_open_filters_closed_ideals_vs_bruteforce():
 def test_predicates_match_plain_definitions():
     """Every subset (and two leaving the carrier) of the up-set and powerset
     algebras of the posets with up to 3 points, and every open filter of
-    the powerset algebras, against the plain-loop definitions."""
+    the powerset algebras, against the plain-loop definitions; open
+    filters and closed ideals of the powerset algebras among them."""
     for poset in order.enumerate_posets(3):
         alexandrov = tba.powerset_tba(poset)
         for algebra in (order.heyting_from_poset(poset), alexandrov):
@@ -164,8 +214,13 @@ def test_predicates_match_plain_definitions():
                 slow_is_filter(alexandrov, subset, opens)
             assert tba._is_g_ideal(alexandrov, subset) == \
                 slow_is_ideal(alexandrov, subset, opens)
-            if slow_is_filter(alexandrov, subset) and all(
-                    int(alexandrov.box[a]) in subset for a in subset):
+            is_open_filter = slow_is_filter(alexandrov, subset) and all(
+                int(alexandrov.box[a]) in subset for a in subset)
+            assert tba._is_open_filter(alexandrov, subset) == is_open_filter
+            assert tba._is_closed_ideal_tba(alexandrov, subset) == (
+                slow_is_ideal(alexandrov, subset) and all(
+                    int(alexandrov.dia_table[a]) in subset for a in subset))
+            if is_open_filter:
                 assert openpairs.lambda_set(alexandrov, subset) == \
                     slow_lambda_set(alexandrov, subset)
 
