@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RecursionError:
-        # parsing, translating and evaluating recurse on a formula's tree
+        # only evaluation still recurses on a formula (_Vec.eval, kripke)
         print("error: formula nested too deeply", file=sys.stderr)
         return USAGE_ERROR
 

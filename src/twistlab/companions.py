@@ -136,42 +136,30 @@ def is_form_sharp(phi: Formula):
     psi = fm.desugar(phi)
 
     def block_var(f):
-        if f.kind != "or":
-            return None
-        lhs, rhs = f.args
-        if lhs.kind == "var" and rhs.kind == "sneg" \
-                and rhs.args[0] == lhs:
-            return lhs.name
-        if rhs.kind == "var" and lhs.kind == "sneg" \
-                and lhs.args[0] == rhs:
-            return rhs.name
+        "The q of a block q | ~q or ~q | q, else None."
+        if f.kind == "or":
+            for x, y in (f.args, f.args[::-1]):
+                if x.kind == "var" and y.kind == "sneg" and y.args[0] is x:
+                    return x.name
         return None
 
     p_vars: set = set()
     q_vars: set = set()
-
-    def walk(f):
+    out = {}  # node -> its skeleton, None where the shape fails
+    for f in fm._postorder(psi, lambda f: () if f.kind in ("var", "sneg")
+                           or block_var(f) else f.args):
         name = block_var(f)
         if name is not None:
             q_vars.add(name)
-            return fm.Var(name)
-        kind = f.kind
-        if kind == "sneg":
-            return None
-        if kind == "var":
+            out[f] = fm.Var(name)
+        elif f.kind == "var":
             p_vars.add(f.name)
-            return f
-        if kind == "bot":
-            return f
-        parts = []
-        for a in f.args:
-            sub = walk(a)
-            if sub is None:
-                return None
-            parts.append(sub)
-        return fm._make(kind, tuple(parts))
-
-    skeleton = walk(psi)
+            out[f] = f
+        elif f.kind == "sneg" or any(out[a] is None for a in f.args):
+            out[f] = None
+        else:
+            out[f] = fm._make(f.kind, tuple(out[a] for a in f.args))
+    skeleton = out[psi]
     if skeleton is None or p_vars & q_vars:
         return None
     return skeleton, tuple(sorted(p_vars)), tuple(sorted(q_vars))

@@ -19,6 +19,10 @@ with parentheses, the constant ``bot`` and identifiers: a lowercase letter
 followed by letters, digits or ``_``.  :func:`parse` reads the binary
 connectives from the one table ``_BINARY`` and the prefix ones from
 ``_PREFIX``.
+
+Every traversal goes through one explicit-stack walk, ``_postorder``, so
+nothing here recurses, whatever the depth.  Goedel-Tarski's T is the boxed
+translation T_B on Li, one walk, so the two coincide there by construction.
 """
 
 from __future__ import annotations
@@ -243,31 +247,41 @@ class _Stuck(Exception):
     "Where parsing stopped: (token index, message) for _parse_error."
 
 
-def _climb(tokens, i, floor):
-    """The formula at tokens[i] whose binary connectives all have
-    precedence at least ``floor``, and the index of the token after it."""
-    sym, word, _ = tokens[i]
-    make = _PREFIX.get(sym)
-    if make is not None:
-        lhs, i = _climb(tokens, i + 1, _TIGHTER)
-        lhs = make(lhs)
-    elif word and word[0].islower():
+def _climb(tokens):
+    """The formula at the start of ``tokens`` and the index after it, by
+    precedence climbing over a stack of frames (constructor, left operand,
+    floor: the least precedence that extends it), one per operand being
+    read; "(" has no constructor, a prefix no left operand."""
+    frames, i, floor = [], 0, 0
+    while True:
+        sym, word, _ = tokens[i]
+        make = _PREFIX.get(sym)
+        if make is not None or sym == "(":
+            frames.append((make, None, floor))
+            floor = 0 if make is None else _TIGHTER
+            i += 1
+            continue
+        if not (word and word[0].islower()):
+            raise _Stuck(i, f"expected a formula, found {sym or 'end'!r}")
         lhs = Bot if word == "bot" else Var(word)
         i += 1
-    elif sym == "(":
-        lhs, i = _climb(tokens, i + 1, 0)
-        if tokens[i][0] != ")":
-            raise _Stuck(i, "expected ')'")
-        i += 1
-    else:
-        raise _Stuck(i, f"expected a formula, found {sym or 'end'!r}")
-    while True:
-        op = _BINARY.get(tokens[i][0])
-        if op is None or op[0] < floor:
-            return lhs, i
-        rank, right, make = op
-        rhs, i = _climb(tokens, i + 1, rank if right else rank + 1)
-        lhs = make(lhs, rhs)
+        while True:
+            op = _BINARY.get(tokens[i][0])
+            if op is not None and op[0] >= floor:
+                rank, right, make = op
+                frames.append((make, lhs, floor))
+                floor = rank if right else rank + 1
+                i += 1
+                break
+            if not frames:
+                return lhs, i
+            make, left, floor = frames.pop()
+            if make is None:
+                if tokens[i][0] != ")":
+                    raise _Stuck(i, "expected ')'")
+                i += 1
+            else:
+                lhs = make(lhs) if left is None else make(left, lhs)
 
 
 def _parse_error(text, index, message):
@@ -293,7 +307,7 @@ def parse(text: str) -> Formula:
     tokens = _TOKEN.findall(text)
     tokens.append(_END)
     try:
-        phi, i = _climb(tokens, 0, 0)
+        phi, i = _climb(tokens)
     except _Stuck as stuck:
         raise _parse_error(text, *stuck.args) from None
     if tokens[i] is not _END:
@@ -301,8 +315,8 @@ def parse(text: str) -> Formula:
     return phi
 
 
-_SIGIL = {"and": "&", "or": "|", "imp": "->", "iff": "<->", "siff": "<=>",
-          "sneg": "~", "neg": "!", "box": "[]", "dia": "<>"}
+_SIGIL = {"and": " & ", "or": " | ", "imp": " -> ", "iff": " <-> ",
+          "siff": " <=> ", "sneg": "~", "neg": "!", "box": "[]", "dia": "<>"}
 
 
 def pretty(phi: Formula) -> str:
@@ -311,27 +325,46 @@ def pretty(phi: Formula) -> str:
     Arguments of binary connectives are parenthesised unless atomic;
     arguments of unary connectives only when binary.
     """
-    kind = phi.kind
-    if kind == "var":
-        return phi.name
-    if kind == "bot":
-        return "bot"
-    if kind in UNARY_KINDS:
-        inner = phi.args[0]
-        body = pretty(inner)
-        if inner.kind in BINARY_KINDS:
-            body = f"({body})"
-        return _SIGIL[kind] + body
-    left, right = (pretty(a) for a in phi.args)
-    if phi.args[0].kind not in ("var", "bot"):
-        left = f"({left})"
-    if phi.args[1].kind not in ("var", "bot"):
-        right = f"({right})"
-    return f"{left} {_SIGIL[kind]} {right}"
+    out, stack = [], [phi]  # pieces to emit, the next one last
+    while stack:
+        f = stack.pop()
+        if isinstance(f, str):
+            out.append(f)
+        elif f.kind in ("var", "bot"):
+            out.append(f.args[0] if f.kind == "var" else "bot")
+        else:
+            *lhs, rhs = f.args
+            bare = ("var", "bot") if lhs else ("var", "bot", *UNARY_KINDS)
+            for piece in reversed((*lhs, _SIGIL[f.kind], rhs)):
+                if isinstance(piece, str) or piece.kind in bare:
+                    stack.append(piece)
+                else:
+                    stack += (")", piece, "(")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
-# Desugaring and language classification
+# The one walk, desugaring and language classification
+
+
+_EMIT = object()  # on _postorder's stack: the key below it is complete
+
+
+def _postorder(root, deps):
+    """The distinct keys of a DAG from ``root`` down, each after the keys
+    it depends on, found with an explicit stack, so at any depth.
+    ``deps(key)`` names the keys that key's value is built from and that
+    are not memoised yet; the walk goes no further below memoised ones."""
+    order, seen, stack = [], set(), [root]
+    while stack:
+        key = stack.pop()
+        if key is _EMIT:
+            order.append(stack.pop())
+        elif key not in seen:
+            seen.add(key)
+            stack += (key, _EMIT)
+            stack += deps(key)
+    return order
 
 
 _desugared: dict = {}
@@ -362,28 +395,28 @@ def desugar(phi: Formula, target: LanguageTag | None = None) -> Formula:
     key = (phi, target)
     hit = _desugared.get(key)
     if hit is None:
-        hit = _desugar_walk(phi, rewrite)
-        _desugared[key] = hit
+        out = {}  # a node with nothing to rewrite stays as it is
+        for f in _postorder(phi, lambda f: [a for a in f.args
+                                            if a.flags & rewrite]):
+            out[f] = _desugar_node(f.kind, [out.get(a, a) for a in f.args],
+                                   rewrite)
+        hit = _desugared[key] = out[phi]
     return hit
 
 
-def _desugar_walk(f, rewrite):
-    if not f.flags & rewrite:
-        return f
-    kind = f.kind
+def _desugar_node(kind, args, rewrite):
+    "A node of ``kind`` over desugared ``args``, itself desugared."
     if kind == "neg":
-        return Imp(_desugar_walk(f.args[0], rewrite), Bot)
-    if kind == "iff":
-        a, b = (_desugar_walk(x, rewrite) for x in f.args)
-        return And(Imp(a, b), Imp(b, a))
-    if kind == "siff":
-        a, b = (_desugar_walk(x, rewrite) for x in f.args)
-        return And(And(Imp(a, b), Imp(b, a)),
-                   And(Imp(SNeg(a), SNeg(b)), Imp(SNeg(b), SNeg(a))))
+        return Imp(args[0], Bot)
+    if kind in ("iff", "siff"):
+        a, b = args
+        both = And(Imp(a, b), Imp(b, a))
+        if kind == "iff":
+            return both
+        return And(both, And(Imp(SNeg(a), SNeg(b)), Imp(SNeg(b), SNeg(a))))
     if kind == "dia" and rewrite & HAS_DIA:
-        inner = _desugar_walk(f.args[0], rewrite)
-        return Imp(Box(Imp(inner, Bot)), Bot)
-    return _make(kind, tuple(_desugar_walk(a, rewrite) for a in f.args))
+        return Imp(Box(Imp(args[0], Bot)), Bot)
+    return _make(kind, tuple(args))
 
 
 def language_of(phi: Formula) -> LanguageTag:
@@ -403,53 +436,29 @@ def free_vars(phi: Formula) -> frozenset:
 
 def substitute(phi: Formula, mapping: dict) -> Formula:
     """Simultaneous substitution of formulas for variables."""
-    if phi.kind == "var":
-        return mapping.get(phi.name, phi)
-    if phi.kind == "bot":
-        return phi
-    args = tuple(substitute(a, mapping) for a in phi.args)
-    if args == phi.args:
-        return phi
-    return _make(phi.kind, args)
+    out = {}  # a node with no variable of the mapping stays as it is
+    for f in _postorder(phi, lambda f: () if f.kind == "var" else [
+            a for a in f.args if not a.free.isdisjoint(mapping)]):
+        out[f] = mapping.get(f.name, f) if f.kind == "var" \
+            else _make(f.kind, tuple(out.get(a, a) for a in f.args))
+    return out[phi]
 
 
 # ---------------------------------------------------------------------------
-# The two embeddings into modal languages
+# The boxed translation T_B and its restriction to Li, Goedel-Tarski's T
 
-_gt_cache: dict = {}
+# Memoised translations, plain and under ~: node -> its translation.
+_tb_cache: tuple = ({}, {})
 
 
 def godel_tarski(phi: Formula) -> Formula:
     """Embed an intuitionistic formula into the box language:
     variables and implications are boxed, the lattice connectives commute.
+    This is belnap_translate on Li, the same walk.
     """
     if language_of(phi) != LanguageTag.Li:
         raise ValueError("godel_tarski is defined on Li formulas only")
-    return _gt(phi)
-
-
-def _gt(phi):
-    cached = _gt_cache.get(phi)
-    if cached is not None:
-        return cached
-    kind = phi.kind
-    if kind == "var":
-        out = Box(phi)
-    elif kind == "bot":
-        out = phi
-    elif kind == "and":
-        out = And(_gt(phi.args[0]), _gt(phi.args[1]))
-    elif kind == "or":
-        out = Or(_gt(phi.args[0]), _gt(phi.args[1]))
-    elif kind == "imp":
-        out = Box(Imp(_gt(phi.args[0]), _gt(phi.args[1])))
-    else:  # pragma: no cover - guarded by language_of
-        raise ValueError(f"unexpected connective {kind!r}")
-    _gt_cache[phi] = out
-    return out
-
-
-_tb_cache: dict = {}
+    return _translate(phi)
 
 
 def belnap_translate(phi: Formula) -> Formula:
@@ -458,57 +467,60 @@ def belnap_translate(phi: Formula) -> Formula:
     Strong negation is pushed through the positive connectives (De Morgan
     on and/or, conjunctive reading of a negated implication), double strong
     negations cancel, and the residual ~ is boxed together with its
-    variable.  The output has ~ only on variables and bot, and the
-    restriction to Li coincides with godel_tarski.
+    variable.  The output has ~ only on variables and bot.  With no ~ to
+    push this is godel_tarski, so the two coincide on Li by construction.
     """
     if language_of(phi) not in (LanguageTag.Li, LanguageTag.Ls):
         raise ValueError("belnap_translate rejects modal input")
-    return _tb(phi)
+    return _translate(phi)
 
 
-def _tb(phi):
-    cached = _tb_cache.get(phi)
-    if cached is not None:
-        return cached
-    kind = phi.kind
+def _translate(phi):
+    """T_B of an Ls formula, by one walk over (node, under ~) keys that
+    visits only the keys the translation reads and are not memoised."""
+    plain = _tb_cache[False]
+    if phi not in plain:
+        for node, negated in _postorder((phi, False), lambda key: [
+                (n, under) for n, under in _tb_reads(*key)
+                if n not in _tb_cache[under]]):
+            _tb_cache[negated][node] = _tb_node(node, negated, [
+                _tb_cache[under][n] for n, under in _tb_reads(node, negated)])
+    return plain[phi]
+
+
+def _tb_reads(node, negated):
+    """The keys whose translations that of (node, negated) is built from:
+    ~ flips the flag, and ~(x -> y) = x & ~y reads x plain (as _reads)."""
+    kind, args = node.kind, node.args
     if kind == "var":
-        out = Box(phi)
-    elif kind == "bot":
-        out = phi
-    elif kind == "and":
-        out = And(_tb(phi.args[0]), _tb(phi.args[1]))
-    elif kind == "or":
-        out = Or(_tb(phi.args[0]), _tb(phi.args[1]))
-    elif kind == "imp":
-        out = Box(Imp(_tb(phi.args[0]), _tb(phi.args[1])))
-    elif kind == "sneg":
-        inner = phi.args[0]
-        ikind = inner.kind
-        if ikind == "var":
-            out = Box(phi)
-        elif ikind == "bot":
-            out = phi
-        elif ikind == "and":
-            out = Or(_tb(SNeg(inner.args[0])), _tb(SNeg(inner.args[1])))
-        elif ikind == "or":
-            out = And(_tb(SNeg(inner.args[0])), _tb(SNeg(inner.args[1])))
-        elif ikind == "imp":
-            out = And(_tb(inner.args[0]), _tb(SNeg(inner.args[1])))
-        else:  # sneg: even iterations cancel
-            out = _tb(inner.args[0])
-    else:  # pragma: no cover - guarded by language_of
-        raise ValueError(f"unexpected connective {kind!r}")
-    _tb_cache[phi] = out
-    return out
+        return ()
+    if kind == "sneg":
+        return [(args[0], not negated)]
+    if kind == "imp" and negated:
+        return [(args[0], False), (args[1], True)]
+    return [(a, negated) for a in args]
+
+
+def _tb_node(node, negated, parts):
+    "The translation of (node, negated) from ``parts``, those of its reads."
+    kind = node.kind
+    if kind in ("var", "bot"):
+        literal = SNeg(node) if negated else node
+        return Box(literal) if kind == "var" else literal
+    if kind == "sneg":
+        return parts[0]
+    if kind == "imp":
+        return And(*parts) if negated else Box(Imp(*parts))
+    return And(*parts) if (kind == "and") != negated else Or(*parts)
 
 
 def is_tb_normal(phi: Formula) -> bool:
     """True when every strong negation wraps a variable or bot."""
-    if phi.kind == "sneg":
-        return phi.args[0].kind in ("var", "bot")
-    if phi.kind == "var":
+    if not phi.flags & HAS_SNEG:
         return True
-    return all(is_tb_normal(a) for a in phi.args)
+    return all(f.args[0].kind in ("var", "bot") for f in _postorder(
+        phi, lambda f: [a for a in f.args if a.flags & HAS_SNEG])
+        if f.kind == "sneg")
 
 
 # ---------------------------------------------------------------------------

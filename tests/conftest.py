@@ -267,6 +267,82 @@ def slow_parse(text):
     return phi
 
 
+# Reference translations: the recursive definitions, one cache each
+
+_slow_gt_cache: dict = {}
+
+
+def slow_godel_tarski(phi):
+    "Goedel-Tarski's T of an Li formula, by plain recursion."
+    cached = _slow_gt_cache.get(phi)
+    if cached is not None:
+        return cached
+    kind = phi.kind
+    if kind == "var":
+        out = Box(phi)
+    elif kind == "bot":
+        out = phi
+    elif kind == "and":
+        out = And(slow_godel_tarski(phi.args[0]),
+                  slow_godel_tarski(phi.args[1]))
+    elif kind == "or":
+        out = Or(slow_godel_tarski(phi.args[0]),
+                 slow_godel_tarski(phi.args[1]))
+    elif kind == "imp":
+        out = Box(Imp(slow_godel_tarski(phi.args[0]),
+                      slow_godel_tarski(phi.args[1])))
+    else:
+        raise ValueError(f"unexpected connective {kind!r}")
+    _slow_gt_cache[phi] = out
+    return out
+
+
+_slow_tb_cache: dict = {}
+
+
+def slow_belnap_translate(phi):
+    "T_B of an Ls formula, by plain recursion."
+    cached = _slow_tb_cache.get(phi)
+    if cached is not None:
+        return cached
+    kind = phi.kind
+    if kind == "var":
+        out = Box(phi)
+    elif kind == "bot":
+        out = phi
+    elif kind == "and":
+        out = And(slow_belnap_translate(phi.args[0]),
+                  slow_belnap_translate(phi.args[1]))
+    elif kind == "or":
+        out = Or(slow_belnap_translate(phi.args[0]),
+                 slow_belnap_translate(phi.args[1]))
+    elif kind == "imp":
+        out = Box(Imp(slow_belnap_translate(phi.args[0]),
+                      slow_belnap_translate(phi.args[1])))
+    elif kind == "sneg":
+        inner = phi.args[0]
+        ikind = inner.kind
+        if ikind == "var":
+            out = Box(phi)
+        elif ikind == "bot":
+            out = phi
+        elif ikind == "and":
+            out = Or(slow_belnap_translate(SNeg(inner.args[0])),
+                     slow_belnap_translate(SNeg(inner.args[1])))
+        elif ikind == "or":
+            out = And(slow_belnap_translate(SNeg(inner.args[0])),
+                      slow_belnap_translate(SNeg(inner.args[1])))
+        elif ikind == "imp":
+            out = And(slow_belnap_translate(inner.args[0]),
+                      slow_belnap_translate(SNeg(inner.args[1])))
+        else:  # sneg: even iterations cancel
+            out = slow_belnap_translate(inner.args[0])
+    else:
+        raise ValueError(f"unexpected connective {kind!r}")
+    _slow_tb_cache[phi] = out
+    return out
+
+
 def slow_is_valid(structure, phi):
     """Independent reference validity: exhaust valuations with plain loops.
 

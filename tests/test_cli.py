@@ -278,6 +278,8 @@ _BOOL2 = heyting.heyting_to_json(
 _TWIST_NABLA_7 = {"type": "twist", "base": _chain3_json(), "nabla": [7],
                   "delta": [0]}
 _POSET = {"type": "poset", "size": 2, "le": [[0, 0], [1, 1]]}
+_TWIST_CHAIN3 = {"type": "twist", "base": _chain3_json(), "nabla": [1, 2],
+                 "delta": [0, 1]}
 
 
 @pytest.mark.parametrize("command,data,extra,want", [
@@ -310,9 +312,9 @@ _POSET = {"type": "poset", "size": 2, "le": [[0, 0], [1, 1]]}
           ("poset-le-not-pair", {**_POSET, "le": [[0, 0], 5]}))],
     pytest.param("check", _chain3_json(formulas=5), [], 2,
                  id="check-formulas-int"),
-    pytest.param("check", _chain3_json(), ["~" * 3000 + "p"], 2,
+    pytest.param("check", _TWIST_CHAIN3, ["~" * 3000 + "p"], 2,
                  id="check-nested-sneg"),
-    pytest.param("check", _chain3_json(), ["(" * 2000 + "p" + ")" * 2000], 2,
+    pytest.param("check", _chain3_json(), ["(" * 2000 + "p" + ")" * 1999], 2,
                  id="check-nested-parentheses"),
     *[pytest.param(command, data, extra, 2, id=f"{command}-{name}-size-{tag}")
       for command, extra in (("check", ["p -> p"]), ("validate", []))
@@ -340,15 +342,32 @@ def test_malformed_input_exit_codes(capsys, tmp_path, command, data, extra,
 
 @pytest.mark.parametrize("text", [
     pytest.param("~" * 3000 + "p", id="strong-negation"),
-    pytest.param("(" * 2000 + "p" + ")" * 2000, id="parentheses"),
+    pytest.param("(p -> " * 3000 + "p" + ")" * 3000, id="parentheses"),
     pytest.param("p -> " * 3000 + "p", id="implication")])
 def test_deep_formula_is_input_error(capsys, tmp_path, text):
-    """A formula nested deeper than the interpreter's recursion limit is
-    an input error, whether parsing or evaluating it gives out."""
-    path = tmp_path / "chain3.json"
-    path.write_text(json.dumps(_chain3_json()))
+    """A formula nested deeper than the interpreter's recursion limit parses
+    and translates, but evaluating it gives out: an input error."""
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(_TWIST_CHAIN3))
     assert cli.main(["check", str(path), text]) == 2
     assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
+def test_deep_parentheses_check_as_bare_formula(capsys, tmp_path):
+    """Parentheses leave no node, so 2,000 pairs of them around p check
+    exactly as p does."""
+    path = tmp_path / "chain3.json"
+    path.write_text(json.dumps(_chain3_json()))
+    text = "(" * 2000 + "p" + ")" * 2000
+    code, out = run(capsys, "check", str(path), text)
+    assert (code, out.replace(text, "p")) == run(capsys, "check", str(path),
+                                                  "p")
+
+
+def test_deep_strong_negation_translates(capsys):
+    """An even chain of 3,000 strong negations cancels under T_B."""
+    code, out = run(capsys, "translate", "--tb", "~" * 3000 + "p")
+    assert code == 0 and out.splitlines()[-1] == "[]p"
 
 
 def test_deep_json_is_input_error(capsys, tmp_path):

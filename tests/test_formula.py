@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +12,8 @@ from twistlab.formula import (And, Bot, Box, Dia, Iff, Imp, Neg, Or, SIff,
                               SNeg, Var)
 from twistlab.semantics import enumerate_formulas
 
-from conftest import slow_parse
+from conftest import (slow_belnap_translate, slow_godel_tarski,
+                      slow_parse)
 
 p, q = Var("p"), Var("q")
 
@@ -170,8 +176,13 @@ def test_belnap_translate_kleene_axiom():
 
 
 def test_belnap_extends_godel_tarski():
+    """On Li the recursive T_B is the recursive Goedel-Tarski T, and the
+    library's one walk gives both."""
     for phi in enumerate_formulas("Li", 3, 2, 500):
-        assert fm.belnap_translate(phi) == fm.godel_tarski(phi)
+        want = slow_godel_tarski(phi)
+        assert slow_belnap_translate(phi) is want
+        assert fm.belnap_translate(phi) is want
+        assert fm.godel_tarski(phi) is want
 
 
 def test_translation_output_is_normal():
@@ -334,6 +345,45 @@ def test_stored_analyses_match_oracles(phi):
         assert psi.reads == _oracle_reads(psi)
 
 
+def _oracle_tb_normal(phi):
+    if phi.kind == "sneg":
+        return phi.args[0].kind in ("var", "bot")
+    if phi.kind == "var":
+        return True
+    return all(_oracle_tb_normal(a) for a in phi.args)
+
+
+def _oracle_substitute(phi, mapping):
+    if phi.kind == "var":
+        return mapping.get(phi.name, phi)
+    return fm._make(phi.kind, tuple(_oracle_substitute(a, mapping)
+                                    for a in phi.args))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_FORMULAS, st.dictionaries(st.sampled_from("pqs"), _FORMULAS,
+                                  max_size=2))
+def test_walks_match_recursive_oracles(phi, mapping):
+    """The translations, is_tb_normal and substitute agree with plain
+    recursive definitions; modal input has no boxed translation."""
+    psi = fm.desugar(phi)
+    assert fm.is_tb_normal(psi) == _oracle_tb_normal(psi)
+    assert fm.substitute(phi, mapping) is _oracle_substitute(phi, mapping)
+    language = fm.language_of(psi)
+    if language in (fm.LanguageTag.Li, fm.LanguageTag.Ls):
+        translated = fm.belnap_translate(psi)
+        assert translated is slow_belnap_translate(psi)
+        assert fm.is_tb_normal(translated)
+    else:
+        with pytest.raises(ValueError):
+            fm.belnap_translate(psi)
+    if language == fm.LanguageTag.Li:
+        assert fm.godel_tarski(psi) is slow_godel_tarski(psi)
+    else:
+        with pytest.raises(ValueError):
+            fm.godel_tarski(psi)
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(_FORMULAS)
 def test_pretty_parse_round_trip_random(phi):
@@ -377,3 +427,53 @@ def test_parse_matches_reference_parser(text):
     except fm.ParseError as err:
         got = (str(err), err.line, err.column)
     assert got is want or got == want
+
+
+# ---------------------------------------------------------------------------
+# Formulas far deeper than the interpreter's recursion limit
+
+_DEEP_CHECKS = """
+import sys
+from twistlab import companions, formula as fm
+from twistlab.formula import And, Imp, Neg, SNeg, Var
+
+depth, shape = int(sys.argv[1]), sys.argv[2]
+p = Var("p")
+step = {"sneg": SNeg, "neg": Neg, "imp": lambda f: Imp(p, f),
+        "and": lambda f: And(f, p)}[shape]
+phi = p
+for _ in range(depth):
+    phi = step(phi)
+assert fm.parse("(" * depth + fm.pretty(phi) + ")" * depth) is phi
+psi = fm.desugar(phi)
+assert psi.height == depth
+translated = fm.belnap_translate(psi)
+assert fm.is_tb_normal(translated)
+assert fm.substitute(phi, {"p": p}) is phi
+sharp = companions.is_form_sharp(phi)
+if shape == "sneg":
+    assert translated is fm.Box(p) and sharp is None
+else:
+    assert fm.godel_tarski(psi) is translated
+    assert sharp == (psi, ("p",), ())
+print(translated.height)
+"""
+
+
+@pytest.mark.parametrize("shape,height", [
+    ("sneg", 1), ("neg", 2 * 10**5 + 1), ("imp", 2 * 10**5 + 1),
+    ("and", 10**5 + 1)])
+def test_deep_formulas_need_no_recursion(shape, height):
+    """A 10**5-deep chain of ~, !, right-nested -> or left-nested &, in
+    10**5 more parentheses, round-trips through pretty and parse, and
+    desugar, the translations, is_tb_normal, substitute and is_form_sharp
+    all return, in a fresh process at the default recursion limit (which
+    peaks at 100-200 MB of interned nodes, freed when it exits)."""
+    path = os.pathsep.join(filter(None, (str(Path(fm.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_CHECKS, str(10**5), shape],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(height)]

@@ -27,6 +27,22 @@ def test_no_bare_assert_in_package():
     assert not found, f"bare assert statements: {', '.join(found)}"
 
 
+def test_no_recursion_in_formula_layer():
+    """The formula layer walks formulas with an explicit stack, so that no
+    nesting depth hits the interpreter's recursion limit: no function in
+    ``formula`` or ``companions`` calls itself by name."""
+    found = []
+    for name in ("formula.py", "companions.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{name}:{node.lineno} {func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == func.name]
+    assert not found, f"recursive calls: {', '.join(found)}"
+
+
 def test_benchmark_functions_exist():
     """Every ``<module>.<function>.<counter>`` per-layer metric of the
     benchmark names a callable of a package module, so a refactor cannot
