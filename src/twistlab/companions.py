@@ -176,12 +176,7 @@ def form_sharp_corpus(min_size: int = 50) -> list:
         if is_form_sharp(phi) is None:
             raise AssertionError("substituted skeleton should match")
         out.append(phi)
-    seen = set()
-    unique = []
-    for phi in out:
-        if phi not in seen:
-            seen.add(phi)
-            unique.append(phi)
+    unique = list(dict.fromkeys(out))
     if len(unique) < min_size:
         raise AssertionError("corpus smaller than requested")
     return unique

@@ -62,7 +62,8 @@ class LanguageTag(enum.Enum):
 
 class Formula:
     """Immutable formula node; instances are interned, so equal formulas
-    are the same object within a process.
+    are the same object within a process, and ``==`` and ``hash`` are
+    object identity (``__reduce__`` re-interns on unpickling).
 
     Besides ``kind`` and ``args`` each node stores, computed once from its
     arguments when it is interned:
@@ -76,30 +77,18 @@ class Formula:
                 ~p, in the strong-negation normal form (_reads).
     """
 
-    __slots__ = ("kind", "args", "height", "free", "flags", "reads", "_hash")
+    __slots__ = ("kind", "args", "height", "free", "flags", "reads")
 
-    def __init__(self, kind, args, height, free, flags, reads, hashv):
+    def __init__(self, kind, args, height, free, flags, reads):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "reads", reads)
-        object.__setattr__(self, "_hash", hashv)
 
     def __setattr__(self, name, value):
         raise AttributeError("Formula is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return (self._hash == other._hash and self.kind == other.kind
-                and self.args == other.args)
 
     def __repr__(self):
         return f"<{pretty(self)}>"
@@ -158,16 +147,14 @@ def _make(kind, args):
         return cached
     if kind == "var":
         height, free, flags = 0, frozenset(args), 0
-        hashv = hash(key)
     else:
         height = 1 + max((a.height for a in args), default=-1)
         free = frozenset().union(*(a.free for a in args))
         flags = _OWN_FLAGS.get(kind, 0)
         for a in args:
             flags |= a.flags
-        hashv = hash((kind,) + tuple(a._hash for a in args))
     node = Formula(kind, args, height, _shared(free), flags,
-                   _reads(kind, args), hashv)
+                   _reads(kind, args))
     _interned[key] = node
     return node
 

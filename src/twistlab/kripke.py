@@ -13,8 +13,8 @@ import numpy as np
 
 from . import formula as fm
 from .formula import Formula, LanguageTag
-from .order import FinitePoset, enumerate_posets, poset_to_json
-from .semantics import LanguageError, _grid_size, _var_grid
+from .order import FinitePoset, _bits, enumerate_posets, poset_to_json
+from .semantics import LanguageError, _columns, _grid_rows
 
 __all__ = [
     "KripkeModel", "forces", "FrameResult", "frame_valid",
@@ -45,10 +45,9 @@ class KripkeModel:
 def _frame_grid(frame, names):
     """Every valuation of the names on the frame, as one world bitmask
     column per name, in lexicographic order."""
-    m = 1 << frame.n
-    total = _grid_size(m, len(names))
-    return dict(zip(names, _var_grid(m, len(names),
-                                     np.arange(total, dtype=np.int64))))
+    widths = (1 << frame.n,) * len(names)
+    rows = np.arange(_grid_rows(widths), dtype=np.int64)
+    return dict(zip(names, _columns(widths, rows)))
 
 
 def _modal_core(phi):
@@ -76,14 +75,7 @@ def forces(model: KripkeModel, world: int, phi: Formula) -> bool:
         if kind == "imp":
             return (not walk(f.args[0], x)) or walk(f.args[1], x)
         if kind == "box":
-            mask = frame.up[x]
-            y = 0
-            while mask:
-                if mask & 1 and not walk(f.args[0], y):
-                    return False
-                mask >>= 1
-                y += 1
-            return True
+            return all(walk(f.args[0], y) for y in _bits(frame.up[x]))
         raise LanguageError(f"cannot interpret {kind!r} in a frame")
 
     return walk(psi, world)
@@ -99,10 +91,9 @@ class _FrameVec:
         self.memo = {}
 
     def eval(self, phi):
-        hit = self.memo.get(id(phi))
+        hit = self.memo.get(phi)
         if hit is None:
-            hit = self._compute(phi)
-            self.memo[id(phi)] = hit
+            hit = self.memo[phi] = self._compute(phi)
         return hit
 
     def _compute(self, phi):
@@ -158,9 +149,8 @@ def frame_valid(frame: FinitePoset, phi: Formula) -> FrameResult:
         return FrameResult(True)
     index = int(bad[0])
     false_at = int(out[index]) ^ ev.full
-    world = (false_at & -false_at).bit_length() - 1
-    valuation = {name: frozenset(w for w in range(frame.n)
-                                 if int(col[index]) >> w & 1)
+    world = next(_bits(false_at))
+    valuation = {name: frozenset(_bits(int(col[index])))
                  for name, col in assign.items()}
     return FrameResult(False, KripkeModel(frame, valuation), world)
 

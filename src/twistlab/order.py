@@ -2,7 +2,8 @@
 
 Elements are 0..n-1; the order relation is kept as one bitmask per element
 (``up[i]`` has bit j set when i <= j).  Subsets of the carrier are plain
-bitmask ints throughout.
+bitmask ints throughout, and ``_bits`` is the one walk over their set
+bits.
 
 ``up_sets`` is the reference enumeration of the up-sets: a plain filter
 over all subsets, in (popcount, value) order.  No builder calls it.
@@ -30,6 +31,14 @@ __all__ = [
 ]
 
 
+def _bits(mask):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class FinitePoset:
     """Partial order on 0..n-1, stored as per-element up-masks."""
 
@@ -51,32 +60,20 @@ class FinitePoset:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"pair ({i}, {j}) out of range for size {n}")
             up[i] |= 1 << j
-        if closure:
+        if closure:  # reflexive, then Warshall over the rows
             for i in range(n):
                 up[i] |= 1 << i
-            changed = True
-            while changed:
-                changed = False
+            for k in range(n):
                 for i in range(n):
-                    mask = up[i]
-                    acc = mask
-                    j = 0
-                    while mask:
-                        if mask & 1:
-                            acc |= up[j]
-                        mask >>= 1
-                        j += 1
-                    if acc != up[i]:
-                        up[i] = acc
-                        changed = True
+                    if up[i] >> k & 1:
+                        up[i] |= up[k]
         return cls(n, tuple(up))
 
     def leq(self, i, j) -> bool:
         return bool(self.up[i] >> j & 1)
 
     def pairs(self):
-        return [(i, j) for i in range(self.n) for j in range(self.n)
-                if self.up[i] >> j & 1]
+        return [(i, j) for i in range(self.n) for j in _bits(self.up[i])]
 
     def relation_mask(self) -> int:
         """All pairs packed into one int, row-major; fixes enumeration order."""
@@ -87,12 +84,8 @@ class FinitePoset:
 
     def up_closure_mask(self, subset: int) -> int:
         out = 0
-        i, mask = 0, subset
-        while mask:
-            if mask & 1:
-                out |= self.up[i]
-            mask >>= 1
-            i += 1
+        for i in _bits(subset):
+            out |= self.up[i]
         return out
 
     def is_up_set(self, subset: int) -> bool:
@@ -108,22 +101,9 @@ class FinitePoset:
 
     def canonical_key(self):
         """Least relation mask over all relabelings; isomorphism invariant."""
-        best = None
-        for perm in permutations(range(self.n)):
-            mask = 0
-            for i in range(self.n):
-                row = self.up[i]
-                new_row = 0
-                j = 0
-                while row:
-                    if row & 1:
-                        new_row |= 1 << perm[j]
-                    row >>= 1
-                    j += 1
-                mask |= new_row << (perm[i] * self.n)
-            if best is None or mask < best:
-                best = mask
-        return (self.n, best)
+        n, pairs = self.n, self.pairs()
+        return (n, min(sum(1 << (perm[i] * n + perm[j]) for i, j in pairs)
+                       for perm in permutations(range(n))))
 
     def __eq__(self, other):
         return (isinstance(other, FinitePoset)
@@ -150,15 +130,11 @@ def validate_poset(poset: FinitePoset):
             if i != j and up[i] >> j & 1 and up[j] >> i & 1:
                 return f"antisymmetry violated: ({i}, {j}) and ({j}, {i})"
     for i in range(n):
-        mask = up[i]
-        j = 0
-        while mask:
-            if mask & 1 and up[j] & ~up[i]:
+        for j in _bits(up[i]):
+            if up[j] & ~up[i]:
                 k = (up[j] & ~up[i]).bit_length() - 1
                 return (f"transitivity violated: ({i}, {j}) and ({j}, {k}) "
                         f"but ({i}, {k}) missing")
-            mask >>= 1
-            j += 1
     return None
 
 
@@ -202,22 +178,14 @@ def join_irreducible_poset(algebra: FiniteHeytingAlgebra) -> FinitePoset:
 
 
 def _extensions(n, up, dsets, usets):
-    """All ways to attach element n with a (down-set, up-set) pair."""
+    """All ways to attach element n with a (down-set, up-set) pair: u
+    misses d and lies above every point of d."""
     out = []
     for d in dsets:
-        for u in usets:
-            if d & u:
-                continue
-            ok = True
-            mask, i = d, 0
-            while mask:
-                if mask & 1 and u & ~up[i]:
-                    ok = False
-                    break
-                mask >>= 1
-                i += 1
-            if ok:
-                out.append((d, u))
+        above = -1
+        for i in _bits(d):
+            above &= up[i]
+        out += [(d, u) for u in usets if not d & u and not u & ~above]
     return out
 
 
@@ -249,12 +217,8 @@ def enumerate_posets(max_n: int, dedup: bool = False):
             newbit = 1 << n
             for d, u in _extensions(n, poset.up, dsets, usets):
                 up = list(poset.up)
-                mask, i = d, 0
-                while mask:
-                    if mask & 1:
-                        up[i] |= newbit
-                    mask >>= 1
-                    i += 1
+                for i in _bits(d):
+                    up[i] |= newbit
                 up.append(u | newbit)
                 nxt.append(FinitePoset(n + 1, tuple(up)))
         level = nxt

@@ -83,11 +83,6 @@ class CapExceededError(RuntimeError):
     """Valuation space larger than the configured cap."""
 
 
-def _grid_size(m, k):
-    """Rows of the grid of k variables over m values each (_grid_rows)."""
-    return _grid_rows((m,) * k)
-
-
 def _grid_rows(widths):
     """Rows of the grid of variables over ``widths`` values each, refused
     above the cap: TWISTLAB_VALUATION_CAP when set, else DEFAULT_CAP."""
@@ -146,7 +141,7 @@ class _Vec:
     mentions (bot's is a plain index).  Component 0 reads components 0
     only, so an algebra is only asked for it; strong negation reads the
     other component of its argument.  Small subformulas are memoised by
-    (identity, component) (formulas are interned), which turns a corpus
+    (node, component) (formulas are interned), which turns a corpus
     sharing subterms into a DAG sweep.
     """
 
@@ -160,9 +155,9 @@ class _Vec:
     def eval(self, phi, c):
         if phi.height <= _MEMO_HEIGHT:
             memo = self.memo[c]
-            hit = memo.get(id(phi))
+            hit = memo.get(phi)
             if hit is None:
-                hit = memo[id(phi)] = self._compute(phi, c)
+                hit = memo[phi] = self._compute(phi, c)
             return hit
         return self._compute(phi, c)
 
@@ -187,12 +182,6 @@ class _Vec:
         if len(phi.args) == 1:
             return table[x]
         return table[x, self.eval(phi.args[1], c)]
-
-
-def _var_grid(m, k, rows):
-    """Columns of the lexicographic enumeration of k variables over m
-    values each, at ``rows`` (_columns)."""
-    return _columns((m,) * k, rows)
 
 
 def _columns(widths, rows):

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -390,6 +392,23 @@ def test_pretty_parse_round_trip_random(phi):
     """Every query text goes through parse; pretty's output parses back to
     the same formula on random ones too, sugar and modalities included."""
     assert fm.parse(fm.pretty(phi)) is phi
+
+
+def _same_tree(phi, psi):
+    return phi.kind == psi.kind and len(phi.args) == len(psi.args) and all(
+        _same_tree(a, b) if isinstance(a, fm.Formula) else a == b
+        for a, b in zip(phi.args, psi.args))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_FORMULAS, _FORMULAS)
+def test_interned_formulas_compare_by_identity(phi, psi):
+    """Equal trees are one object, so == is identity; pickling and deep
+    copying re-intern instead of making a second node."""
+    assert (phi == psi) == (phi is psi) == _same_tree(phi, psi)
+    assert len({phi, psi}) == 1 + (phi is not psi)
+    assert pickle.loads(pickle.dumps(phi)) is phi
+    assert copy.deepcopy(phi) is phi and copy.copy(phi) is phi
 
 
 _ALPHABET = ("<=>", "<->", "<>", "->", "[]", "~", "!", "&", "|", "(", ")",

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,18 +89,66 @@ def test_validate_chain_ok(chain2):
 
 def test_validate_antisymmetry():
     bad = order.FinitePoset.from_pairs(2, [(0, 0), (1, 1), (0, 1), (1, 0)])
-    assert "antisymmetry" in order.validate_poset(bad)
+    assert order.validate_poset(bad) == \
+        "antisymmetry violated: (0, 1) and (1, 0)"
 
 
 def test_validate_reflexivity():
     bad = order.FinitePoset.from_pairs(2, [(1, 1), (0, 1)])
-    assert "reflexivity" in order.validate_poset(bad)
+    assert order.validate_poset(bad) == \
+        "reflexivity violated: (0, 0) missing"
 
 
 def test_validate_transitivity():
     bad = order.FinitePoset.from_pairs(
         3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
-    assert "transitivity" in order.validate_poset(bad)
+    assert order.validate_poset(bad) == \
+        "transitivity violated: (0, 1) and (1, 2) but (0, 2) missing"
+
+
+def test_validate_messages():
+    """The first violation found, with its exact message: transitivity
+    names the least (i, j) and then the largest missing k."""
+    from_pairs = order.FinitePoset.from_pairs
+    cases = [
+        (order.FinitePoset(0, ()), "carrier must be non-empty"),
+        (from_pairs(4, [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 3),
+                        (1, 2)]),
+         "transitivity violated: (0, 1) and (1, 3) but (0, 3) missing"),
+        (from_pairs(3, [(0, 0), (1, 1), (2, 2), (2, 1), (1, 0)]),
+         "transitivity violated: (2, 1) and (1, 0) but (2, 0) missing"),
+    ]
+    for poset, message in cases:
+        assert order.validate_poset(poset) == message
+
+
+@st.composite
+def _relations(draw, max_n=5):
+    """A random relation on at most max_n points, cycles allowed."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=12))
+    return n, pairs
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_relations())
+def test_closure_is_least_preorder(relation):
+    """``from_pairs(closure=True)`` is the least reflexive-transitive
+    superset of the pairs: j is above i when a path of pairs leads there."""
+    n, pairs = relation
+    want = set()
+    for i in range(n):
+        reached, frontier = {i}, [i]
+        while frontier:
+            x = frontier.pop()
+            for a, b in pairs:
+                if a == x and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+        want |= {(i, j) for j in reached}
+    closed = order.FinitePoset.from_pairs(n, pairs, closure=True)
+    assert set(closed.pairs()) == want
 
 
 def test_closure_option():
@@ -208,6 +258,48 @@ def test_enumerate_posets_dedup_counts():
     for poset in order.enumerate_posets(5, dedup=True):
         counts[poset.n] = counts.get(poset.n, 0) + 1
     assert counts == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+
+
+# (size, relation mask) of the representatives of at most 4 points
+_REPRESENTATIVES_4 = [
+    (1, 1), (2, 9), (2, 11), (3, 273), (3, 275), (3, 279), (3, 309),
+    (3, 311), (4, 33825), (4, 33827), (4, 33831), (4, 33839), (4, 33893),
+    (4, 33895), (4, 33897), (4, 33901), (4, 33903), (4, 34029), (4, 34031),
+    (4, 36009), (4, 36011), (4, 36015), (4, 36077), (4, 36079),
+]
+
+
+def test_enumerate_posets_dedup_representatives():
+    assert [(p.n, p.relation_mask())
+            for p in order.enumerate_posets(4, dedup=True)] \
+        == _REPRESENTATIVES_4
+
+
+def brute_canonical_key(poset):
+    """Least row-major relation mask over all relabelings, by plain loops
+    over the relation matrix."""
+    n = poset.n
+    best = None
+    for perm in permutations(range(n)):
+        mask = 0
+        for i in range(n):
+            for j in range(n):
+                if poset.leq(i, j):
+                    mask += 2 ** (perm[i] * n + perm[j])
+        best = mask if best is None else min(best, mask)
+    return (n, best)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_posets(), st.randoms(use_true_random=False))
+def test_canonical_key_invariant(poset, rng):
+    """The key equals the brute force and survives a random relabeling."""
+    label = list(range(poset.n))
+    rng.shuffle(label)
+    relabeled = order.FinitePoset.from_pairs(
+        poset.n, [(label[i], label[j]) for i, j in poset.pairs()])
+    assert poset.canonical_key() == brute_canonical_key(poset)
+    assert relabeled.canonical_key() == poset.canonical_key()
 
 
 def test_enumerate_posets_deterministic_order():

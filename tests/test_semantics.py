@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import slow_evaluate, slow_is_valid
 from twistlab import formula as fm
-from twistlab import heyting, order, semantics, tba, twist
+from twistlab import heyting, kripke, order, semantics, tba, twist
 from twistlab.formula import And, Bot, Box, Dia, Imp, Or, SNeg, Var
 from twistlab.semantics import (CapExceededError, LanguageError,
                                 default_corpus, enumerate_formulas, evaluate,
@@ -190,9 +190,11 @@ def test_grid_vec_matches_flat_grid():
                     np.broadcast_to(got, ev.shape).ravel(),
                     widths[i] - 1 - col)
         assert lo == total
-    # the uniform enumeration kripke reads is the same order
-    assert np.array_equal(semantics._var_grid(3, 2, np.arange(9)),
-                          semantics._columns((3, 3), np.arange(9)))
+    # kripke's uniform grid is the lexicographic enumeration as well
+    frame = order.FinitePoset(2, (0b11, 0b10))
+    assert np.array_equal(
+        list(kripke._frame_grid(frame, ["p", "q"]).values()),
+        np.array(list(itertools.product(range(4), repeat=2))).T)
     # a width above the first chunk keeps every variable a column
     assert semantics._tail((4097, 4097)) == (0, 1)
 

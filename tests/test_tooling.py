@@ -43,6 +43,16 @@ def test_no_recursion_in_formula_layer():
     assert not found, f"recursive calls: {', '.join(found)}"
 
 
+def test_no_hand_rolled_bit_walk():
+    """Set bits are walked by ``order._bits`` only: no ``>>= 1`` shift
+    loop in the package."""
+    found = [f"{path.relative_to(PACKAGE)}:{number}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if ">>= 1" in line]
+    assert not found, f"hand-rolled bit walks: {', '.join(found)}"
+
+
 def test_benchmark_functions_exist():
     """Every ``<module>.<function>.<counter>`` per-layer metric of the
     benchmark names a callable of a package module, so a refactor cannot
