@@ -140,7 +140,7 @@ def cmd_check(args):
         report = structure.validate()
         if report is not None:
             raise ValueError(f"invalid structure: {report}")
-    texts = [args.formula] if args.formula \
+    texts = [args.formula] if args.formula is not None \
         else _formula_texts(data.get("formulas", []))
     if not texts:
         raise ValueError("no formula given and none in the file")

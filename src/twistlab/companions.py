@@ -21,18 +21,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from . import formula as fm
 from . import openpairs, semantics
 from .formula import Formula
-from .heyting import FiniteHeytingAlgebra, _closed_under, _mask, closure_n, \
-    dense_filter
+from .heyting import FiniteHeytingAlgebra, _closed_under, _mask, closure_n
 from .order import enumerate_posets, heyting_from_poset
-from .tba import FiniteTBA, open_elements, open_filters, closed_ideals, \
-    powerset_tba, rho_map, satisfies_grz, sigma_map, s_of
+from .tba import FiniteTBA, open_elements, open_filters, powerset_tba, \
+    rho_map, satisfies_grz, sigma_map, s_of
 from .twist import TwistStructure, _closure_failure, _op_tables, \
     _pair_mask, tw
 
@@ -87,13 +85,9 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
     """
     nabla = frozenset(nabla)
     delta = frozenset(delta)
-    if not algebra.is_filter(nabla):
-        raise ValueError("nabla is not a filter")
-    missing = dense_filter(algebra) - nabla
-    if missing:
-        raise ValueError(f"nabla lacks the dense element {min(missing)}")
-    if not algebra.is_ideal(delta):
-        raise ValueError("delta is not an ideal")
+    # these two check the inputs, before anything else is built
+    delta_closure = closure_n(algebra, delta)
+    heyting_twist = tw(algebra, nabla, delta_closure)
 
     tba, iso = s_of(algebra)
     nabla_hat = rho_map(tba, frozenset(iso[a] for a in nabla))
@@ -105,8 +99,6 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
     if openpairs.lambda_set(tba, nabla_hat) != open_elements(tba):
         raise AssertionError("lambda set does not exhaust the opens")
 
-    delta_closure = closure_n(algebra, delta)
-    heyting_twist = tw(algebra, nabla, delta_closure)
     to_tba = np.asarray(iso, dtype=np.intp)
     image = _pair_mask(tba.n, to_tba[heyting_twist.firsts],
                        to_tba[heyting_twist.seconds])
@@ -208,19 +200,6 @@ def closed_ideal_axiom_check(algebra, nabla, delta) -> bool:
     return semantics.is_valid(structure, fm.CLOSED_IDEAL_AXIOM).valid
 
 
-# validity_table holds the verdicts of tw(algebra, nabla, delta) at
-# (_least(algebra, nabla), _greatest(algebra, delta))
-
-def _least(algebra, nabla):
-    """The meet of a finite filter: the element it is the up-set of."""
-    return reduce(lambda x, y: int(algebra.meet[x, y]), nabla, algebra.top)
-
-
-def _greatest(algebra, delta):
-    """The join of a finite ideal: the element it is the down-set of."""
-    return reduce(lambda x, y: int(algebra.join[x, y]), delta, algebra.bot)
-
-
 @dataclass
 class KleeneScanReport:
     max_poset: int
@@ -250,20 +229,19 @@ def kleene_box_implication_scan(max_poset: int) -> KleeneScanReport:
     for poset in enumerate_posets(max_poset):
         report.posets += 1
         tba = powerset_tba(poset)
-        valid_chi, valid_prime = semantics.validity_table(
-            tba, [t_chi, t_chi_prime])
-        for nabla in open_filters(tba):
-            for delta in closed_ideals(tba):
-                report.instances += 1
-                cell = _least(tba, nabla), _greatest(tba, delta)
-                if valid_chi[cell]:
-                    report.translated_kleene_valid += 1
-                    if not valid_prime[cell]:
-                        report.violations.append({
-                            "poset": poset.pairs(),
-                            "nabla": sorted(nabla),
-                            "delta": sorted(delta),
-                        })
+        # the cells (f, d) of open_filters x closed_ideals, in their order
+        opens = np.flatnonzero(tba.open_mask())
+        fixed = np.flatnonzero(tba.dia_table == np.arange(tba.n))
+        chi, prime = (table[np.ix_(opens, fixed)] for table in
+                      semantics.validity_table(tba, [t_chi, t_chi_prime]))
+        report.instances += chi.size
+        report.translated_kleene_valid += int(chi.sum())
+        for i, j in np.argwhere(chi & ~prime).tolist():
+            report.violations.append({
+                "poset": poset.pairs(),
+                "nabla": sorted(tba.upset(opens[i])),
+                "delta": sorted(tba.downset(fixed[j])),
+            })
     return report
 
 
@@ -358,7 +336,6 @@ class PipelineSweepReport:
     (algebra, filter, ideal) triples from posets up to a size bound."""
 
     max_size: int
-    dedup: bool
     posets: int = 0
     instances: int = 0
     corpus_size: int = 0
@@ -388,7 +365,6 @@ class PipelineSweepReport:
     def to_json(self):
         return {
             "max_size": self.max_size,
-            "dedup": self.dedup,
             "posets": self.posets,
             "instances": self.instances,
             "corpus_size": self.corpus_size,
@@ -497,7 +473,7 @@ def _sweep_poset(poset, corpus, translated, sharp):
     from .heyting import ideals as heyting_ideals
     from .heyting import is_closed_ideal
 
-    report = PipelineSweepReport(max_size=poset.n, dedup=False)
+    report = PipelineSweepReport(max_size=poset.n)
     report.posets = 1
     label_base = f"poset{poset.n}:{poset.relation_mask()}"
     algebra = heyting_from_poset(poset)
@@ -526,8 +502,7 @@ def _sweep_poset(poset, corpus, translated, sharp):
 
     iso_set = frozenset(iso)
     for nabla in heyting_filters(algebra, require_dense=True):
-        f = _least(algebra, nabla)
-        built = []  # _greatest(delta) of each instance built
+        built = []  # the d of the cell (f, d) of each instance built
         for delta in all_ideals:
             report.instances += 1
             label = (f"{label_base} nabla={sorted(nabla)} "
@@ -538,15 +513,13 @@ def _sweep_poset(poset, corpus, translated, sharp):
                 report.fail("pipeline_invariants", f"{label}: {exc}")
                 continue
             report.bump("instances_built")
-            # the table's cell (f, d) is this carrier, which tw verifies
-            # closed; (f, dc) and (ft, dt) are the twists built in inst,
-            # and (f, d) is (f, dc) when delta is closed
-            if delta != inst.delta_closure:
-                tw(algebra, nabla, delta)
-            d = _greatest(algebra, delta)
-            dc = _greatest(algebra, inst.delta_closure)
-            ft = _least(tba_alg, inst.nabla_hat)
-            dt = _greatest(tba_alg, inst.delta_hat)
+            # the table's cells are the twists' cells: (f, dc) and (ft, dt)
+            # are built in inst, and (f, d) is (f, dc) when delta is closed
+            # and otherwise built here, which verifies its carrier closed
+            f, dc = inst.heyting_twist.cell
+            ft, dt = inst.twist.cell
+            d = dc if delta == inst.delta_closure \
+                else tw(algebra, nabla, delta).cell[1]
             built.append(d)
 
             lhs = inst.delta_hat & iso_set
@@ -581,7 +554,8 @@ def _sweep_poset(poset, corpus, translated, sharp):
                 report.fail("closed_ideal_axiom_kernel", label)
             report.bump("closed_ideal_axiom_checked")
 
-        verdicts = sharp_a[:, f, built]
+        # with no instance built there is no f to read, and nothing varies
+        verdicts = sharp_a[:, f, built] if built else sharp_a[:, 0, :0]
         varying = np.flatnonzero((verdicts != verdicts[:, :1]).any(axis=1))
         if len(varying):
             report.fail("l414", f"{label_base} nabla={sorted(nabla)} "
@@ -605,9 +579,8 @@ def _sweep_task(up_masks):
     return _sweep_poset(poset, corpus, translated, sharp)
 
 
-def pipeline_sweep(max_size: int = 4, corpus=None, dedup: bool = False,
-                   jobs: int = 1, sharp_min: int = 50,
-                   posets=None) -> PipelineSweepReport:
+def pipeline_sweep(max_size: int = 4, corpus=None, jobs: int = 1,
+                   sharp_min: int = 50, posets=None) -> PipelineSweepReport:
     """Run every pipeline-level check over all posets up to ``max_size``.
 
     Covers, per (algebra, filter, ideal) triple: the translation
@@ -624,8 +597,8 @@ def pipeline_sweep(max_size: int = 4, corpus=None, dedup: bool = False,
     translated = [fm.belnap_translate(phi) for phi in corpus]
     sharp = form_sharp_corpus(sharp_min)
     if posets is None:
-        posets = list(enumerate_posets(max_size, dedup=dedup))
-    total = PipelineSweepReport(max_size=max_size, dedup=dedup)
+        posets = list(enumerate_posets(max_size))
+    total = PipelineSweepReport(max_size=max_size)
     total.corpus_size = len(corpus)
     total.sharp_corpus_size = len(sharp)
 

@@ -7,6 +7,8 @@ structure (order, top, negation) is computed from the tables.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 __all__ = [
@@ -54,6 +56,16 @@ def _mask(n, elements) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[list(elements)] = True
     return mask
+
+
+def _least(algebra, nabla) -> int:
+    """The meet of a finite filter: the element it is the up-set of."""
+    return reduce(lambda x, y: int(algebra.meet[x, y]), nabla, algebra.top)
+
+
+def _greatest(algebra, delta) -> int:
+    """The join of a finite ideal: the element it is the down-set of."""
+    return reduce(lambda x, y: int(algebra.join[x, y]), delta, algebra.bot)
 
 
 def _closure(mask, tables) -> np.ndarray:
@@ -340,7 +352,7 @@ def closure_n(algebra: FiniteHeytingAlgebra, delta) -> frozenset:
     negation of some member."""
     delta = frozenset(delta)
     if not algebra.is_ideal(delta):
-        raise ValueError("closure_n expects an ideal")
+        raise ValueError("delta is not an ideal of the algebra")
     neg_t = algebra.neg_table
     below = algebra.le[:, neg_t[neg_t[list(delta)]]].any(axis=1)
     return frozenset(np.flatnonzero(below).tolist())

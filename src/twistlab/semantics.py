@@ -486,13 +486,13 @@ def validity_table(base, formulas) -> np.ndarray:
 
     When up(f) is a filter with every dense element (an open filter over
     a TBA) and down(d) an ideal (a closed ideal), that sub-twist is
-    tw(base, up(f), down(d)), so one call decides every instance over the
-    base.  A valuation lies in the sub-twist exactly when f <= J and
-    M <= d, with J the meet over its variables of a v b and M the join of
-    a ^ b; so each formula is evaluated once over the full twist's grid,
-    every variable over every pair, its refuting rows are counted by
-    (J, M), and le @ H @ le sums, at (f, d), those that lie in the
-    sub-twist.  A formula that reads no variable at both components is
+    tw(base, up(f), down(d)), whose ``cell`` is (f, d), so one call
+    decides every instance over the base.  A valuation lies in the
+    sub-twist exactly when f <= J and M <= d, with J the meet over its
+    variables of a v b and M the join of a ^ b; so each formula is
+    evaluated once over the full twist's grid, every variable over every
+    pair, its refuting rows are counted by (J, M), and le @ H @ le sums,
+    at (f, d), those that lie in the sub-twist.  A formula that reads no variable at both components is
     decided once, as is_valid decides it on the full twist: in every
     twist its variables still range over the whole base, as both
     projections are onto it, so its plane is constant.  The cap bounds the

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra, _closure, _is_closed_set, \
-    _mask, _sized, _table, is_boolean
+from .heyting import FiniteHeytingAlgebra, _closure, _greatest, \
+    _is_closed_set, _least, _sized, _table, is_boolean
 from .order import FinitePoset, join_irreducible_poset
 
 __all__ = [
@@ -238,17 +238,17 @@ def closed_ideals(algebra: FiniteTBA) -> list:
 
 
 def _is_open_filter(algebra, subset):
-    if not algebra.is_filter(subset):
-        return False
-    mask = _mask(algebra.n, subset)
-    return bool(mask[algebra.box[mask]].all())
+    """A filter whose generator f is open (f <= box f)."""
+    return (algebra.is_filter(subset)
+            and bool(algebra.open_mask()[_least(algebra, subset)]))
 
 
 def _is_closed_ideal_tba(algebra, subset):
+    """An ideal whose generator d is diamond-fixed (dia d <= d)."""
     if not algebra.is_ideal(subset):
         return False
-    mask = _mask(algebra.n, subset)
-    return bool(mask[algebra.dia_table[mask]].all())
+    d = _greatest(algebra, subset)
+    return int(algebra.dia_table[d]) == d
 
 
 def _is_g_filter(algebra, subset):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra, _mask, dense_filter
+from .heyting import FiniteHeytingAlgebra, _greatest, _least, dense_filter
 from .tba import FiniteTBA, _is_closed_ideal_tba, _is_open_filter
 
 __all__ = [
@@ -90,18 +90,23 @@ def _closure_failure(member, f, s, tables):
 
 
 class TwistStructure:
-    """Carrier and invariants of a twist-structure; construct via tw()."""
+    """Carrier and invariants of a twist-structure; construct via tw().
 
-    def __init__(self, base, nabla, delta, firsts, seconds):
+    ``cell`` is (f, d), the generators of nabla = up(f) and delta =
+    down(d); it names the twist among those over its base, as
+    ``semantics.validity_table`` indexes them.  ``member`` is the
+    read-only boolean pair matrix of the carrier, and ``firsts`` and
+    ``seconds`` list its pairs in lexicographic order."""
+
+    def __init__(self, base, nabla, delta, cell, member):
         self.base = base
         self.modal = isinstance(base, FiniteTBA)
         self.nabla = frozenset(nabla)
         self.delta = frozenset(delta)
-        self.firsts = firsts
-        self.seconds = seconds
-        member = _pair_mask(base.n, firsts, seconds)
+        self.cell = cell
         member.setflags(write=False)
         self.member = member
+        self.firsts, self.seconds = np.nonzero(member)
         self._cache = {}  # facts derived from the carrier, built lazily
 
     @property
@@ -141,9 +146,10 @@ def tw(base: FiniteHeytingAlgebra, nabla, delta) -> TwistStructure:
 
     Over a plain Heyting algebra, nabla must be a filter containing all
     dense elements and delta an ideal; over a TBA, nabla must be an open
-    filter and delta a closed ideal.  The carrier is materialised, checked
-    to be closed under all operations, and checked to project onto the
-    whole base; these checks run once per (base, nabla, delta).
+    filter and delta a closed ideal.  Both are then principal, nabla =
+    up(f) and delta = down(d), and the carrier is the pairs (a, b) with
+    f <= a v b and a ^ b <= d.  It is checked to be closed under all
+    operations and to project onto the whole base once per (base, cell).
     """
     nabla = frozenset(nabla)
     delta = frozenset(delta)
@@ -162,20 +168,14 @@ def tw(base: FiniteHeytingAlgebra, nabla, delta) -> TwistStructure:
         if not base.is_ideal(delta):
             raise ValueError("delta is not an ideal of the base")
 
-    nabla_mask, delta_mask = _mask(base.n, nabla), _mask(base.n, delta)
-    ok = nabla_mask[base.join] & delta_mask[base.meet]
-    pairs = np.argwhere(ok)
-    firsts = np.ascontiguousarray(pairs[:, 0])
-    seconds = np.ascontiguousarray(pairs[:, 1])
-    structure = TwistStructure(base, nabla, delta, firsts, seconds)
-    # each carrier is verified once per base: the (nabla, delta) masks of
-    # those that passed, at most n**2 of them, never one that failed
-    key = nabla_mask.tobytes() + delta_mask.tobytes()
+    f, d = cell = _least(base, nabla), _greatest(base, delta)
+    member = base.le[f][base.join] & base.le[:, d][base.meet]
+    structure = TwistStructure(base, nabla, delta, cell, member)
+    # the cells whose carriers passed, at most n**2, never one that failed
     verified = base._cache.setdefault("verified", set())
-    if key not in verified:
+    if cell not in verified:
         _verify(structure)
-        if len(verified) < base.n ** 2:
-            verified.add(key)
+        verified.add(cell)
     return structure
 
 

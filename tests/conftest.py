@@ -3,6 +3,7 @@ import itertools
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from twistlab import formula as fm
 from twistlab.formula import (And, Bot, Box, Dia, Iff, Imp, Neg, Or, SIff,
@@ -82,6 +83,26 @@ def posets3():
 @pytest.fixture(scope="session")
 def posets4_classes():
     return list(order.enumerate_posets(4, dedup=True))
+
+
+@pytest.fixture(scope="session")
+def posets5_classes():
+    return list(order.enumerate_posets(5, dedup=True))
+
+
+@st.composite
+def random_posets(draw, max_n=5):
+    """A random poset of at most max_n points: the transitive closure of
+    a random set of edges i -> j with i < j, relabeled by a random
+    permutation."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    label = draw(st.permutations(range(n)))
+    return order.FinitePoset.from_pairs(
+        n, [(label[i], label[j]) for i, j in edges], closure=True)
 
 
 def slow_evaluate(structure, phi, valuation):

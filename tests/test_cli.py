@@ -312,6 +312,8 @@ _TWIST_CHAIN3 = {"type": "twist", "base": _chain3_json(), "nabla": [1, 2],
           ("poset-le-not-pair", {**_POSET, "le": [[0, 0], 5]}))],
     pytest.param("check", _chain3_json(formulas=5), [], 2,
                  id="check-formulas-int"),
+    pytest.param("check", _chain3_json(formulas=["p -> p"]), [""], 2,
+                 id="check-empty-formula"),
     pytest.param("check", _TWIST_CHAIN3, ["~" * 3000 + "p"], 2,
                  id="check-nested-sneg"),
     pytest.param("check", _chain3_json(), ["(" * 2000 + "p" + ")" * 1999], 2,

@@ -40,13 +40,18 @@ def test_companion_three_chain_trivial_ideal(three):
     assert set(inst.heyting_twist.pairs) == {(0, 1), (0, 2), (1, 0), (2, 0)}
 
 
-def test_companion_rejects_bad_inputs(three):
-    with pytest.raises(ValueError, match="dense"):
-        companion_structure(three, frozenset({2}), frozenset({0}))
-    with pytest.raises(ValueError, match="filter"):
-        companion_structure(three, frozenset({0}), frozenset({0}))
-    with pytest.raises(ValueError, match="ideal"):
-        companion_structure(three, frozenset({1, 2}), frozenset({2}))
+def test_companion_rejects_bad_inputs(chain2):
+    """A rejected input gets a message naming nabla or delta and why, over
+    the 3-chain, whose dense elements are 1 and 2; it is rejected before
+    the algebra's realisation is built."""
+    for nabla, delta, message in (
+            ({2}, {0}, "^nabla lacks the dense element 1$"),
+            ({0}, {0}, "^nabla is not a filter"),
+            ({1, 2}, {2}, "^delta is not an ideal")):
+        algebra = order.heyting_from_poset(chain2)
+        with pytest.raises(ValueError, match=message):
+            companion_structure(algebra, frozenset(nabla), frozenset(delta))
+        assert "s_of" not in algebra._cache
 
 
 def test_companion_twtop_default_corpus(three):
@@ -381,3 +386,22 @@ def test_delta_rho_failure_is_reported(monkeypatch, chain2):
                             sharp_min=10, posets=[chain2])
     assert report.to_json()["failures"] == {
         "delta_rho": [f"poset2:{chain2.relation_mask()}"]}
+
+
+def test_failed_instances_are_reported(monkeypatch, chain2):
+    """An instance whose pipeline invariants fail is a recorded failure
+    that names it, and the sweep goes on: here every instance fails, so
+    no cell is read and no formula group varies."""
+    def broken(algebra, nabla, delta):
+        raise AssertionError("broken")
+
+    monkeypatch.setattr(companions, "companion_structure", broken)
+    report = pipeline_sweep(corpus=semantics.default_corpus(40),
+                            sharp_min=10, posets=[chain2])
+    failures = report.to_json()["failures"]
+    assert list(failures) == ["pipeline_invariants"]
+    assert len(failures["pipeline_invariants"]) == report.instances == 6
+    assert all(entry.endswith(": broken")
+               for entry in failures["pipeline_invariants"])
+    assert report.counts["l414_groups"] == 2
+    assert "instances_built" not in report.counts

@@ -3,6 +3,7 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_posets
 from twistlab import heyting, order
 from twistlab.heyting import FiniteHeytingAlgebra
 from twistlab.tba import FiniteTBA, powerset_tba
@@ -57,23 +58,8 @@ def test_builders_match_definitions():
         assert order.heyting_from_poset(poset) == up_set_algebra
 
 
-@st.composite
-def _posets(draw, max_n=5):
-    """A random poset of at most max_n points: the transitive closure of
-    a random set of edges i -> j with i < j, relabeled by a random
-    permutation."""
-    n = draw(st.integers(1, max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
-                         max_size=len(pairs)))
-    edges = [pair for pair, kept in zip(pairs, keep) if kept]
-    label = draw(st.permutations(range(n)))
-    return order.FinitePoset.from_pairs(
-        n, [(label[i], label[j]) for i, j in edges], closure=True)
-
-
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(_posets())
+@given(random_posets())
 def test_builders_match_definitions_random(poset):
     """On random posets of at most 5 points, the builders over the shared
     Boolean tables agree with the plain-loop definitions."""
@@ -185,11 +171,11 @@ def test_heyting_from_chain_and_antichain(three, bool4, bool2):
     assert bool2.n == 2 and heyting.is_boolean(bool2)
 
 
-def test_heyting_from_poset_residuation_everywhere():
+def test_heyting_from_poset_residuation_everywhere(posets5_classes):
     # validate() checks residuation on every triple; run it for all posets
     for poset in order.enumerate_posets(4):
         order.heyting_from_poset(poset)
-    for poset in order.enumerate_posets(5, dedup=True):
+    for poset in posets5_classes:
         order.heyting_from_poset(poset)
 
 
@@ -241,8 +227,8 @@ def test_birkhoff_round_trip_small():
         assert birkhoff_round_trip(order.heyting_from_poset(poset))
 
 
-def test_birkhoff_round_trip_size5_classes():
-    for poset in order.enumerate_posets(5, dedup=True):
+def test_birkhoff_round_trip_size5_classes(posets5_classes):
+    for poset in posets5_classes:
         assert birkhoff_round_trip(order.heyting_from_poset(poset))
 
 
@@ -253,9 +239,9 @@ def test_enumerate_posets_counts():
     assert counts == {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 
 
-def test_enumerate_posets_dedup_counts():
+def test_enumerate_posets_dedup_counts(posets5_classes):
     counts = {}
-    for poset in order.enumerate_posets(5, dedup=True):
+    for poset in posets5_classes:
         counts[poset.n] = counts.get(poset.n, 0) + 1
     assert counts == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 
@@ -291,7 +277,7 @@ def brute_canonical_key(poset):
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(_posets(), st.randoms(use_true_random=False))
+@given(random_posets(), st.randoms(use_true_random=False))
 def test_canonical_key_invariant(poset, rng):
     """The key equals the brute force and survives a random relabeling."""
     label = list(range(poset.n))

@@ -680,8 +680,9 @@ def test_validity_table_matches_instances(poset):
             (tba.powerset_tba(poset), _TABLE_TRANSLATED)):
         table = semantics.validity_table(base, formulas)
         assert table.shape == (len(formulas), base.n, base.n)
-        for nabla, delta, f, d in _instances(base):
+        for nabla, delta, _, _ in _instances(base):
             structure = twist.tw(base, nabla, delta)
+            f, d = structure.cell
             assert table[:, f, d].tolist() == \
                 validity_profile(structure, formulas)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_posets
 from twistlab import heyting, order, tba, twist
 from twistlab.companions import companion_structure
 from twistlab.formula import And, Bot, Box, Dia, Imp, Or, SNeg, Var
@@ -32,6 +33,40 @@ def all_modal_twists(algebra):
     for nabla in tba.open_filters(algebra):
         for delta in tba.closed_ideals(algebra):
             yield tw(algebra, nabla, delta)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(random_posets(max_n=4))
+def test_cell_and_carrier_match_definitions(poset):
+    """Over every dense filter x ideal of the up-set algebra of a random
+    poset of at most 4 points, and every open filter x closed ideal of its
+    powerset TBA, tw's cell is the meet of the filter and the join of the
+    ideal, and its carrier is the pairs (a, b) with a v b in the filter
+    and a ^ b in the ideal, in lexicographic order, as plain loops find
+    them."""
+    algebra, powerset = order.heyting_from_poset(poset), \
+        tba.powerset_tba(poset)
+    for base, nablas, deltas in (
+            (algebra, heyting.filters(algebra, require_dense=True),
+             heyting.ideals(algebra)),
+            (powerset, tba.open_filters(powerset),
+             tba.closed_ideals(powerset))):
+        meet, join = base.meet.tolist(), base.join.tolist()
+        for nabla in nablas:
+            for delta in deltas:
+                structure = tw(base, nabla, delta)
+                f, d = base.top, base.bot
+                for a in nabla:
+                    f = meet[f][a]
+                for a in delta:
+                    d = join[d][a]
+                assert structure.cell == (f, d)
+                member = [[join[a][b] in nabla and meet[a][b] in delta
+                           for b in range(base.n)] for a in range(base.n)]
+                assert structure.member.tolist() == member
+                assert structure.pairs == [
+                    (a, b) for a in range(base.n) for b in range(base.n)
+                    if member[a][b]]
 
 
 def test_full_twist_sizes(three, bool2):
@@ -204,9 +239,9 @@ def test_closure_failure_matches_loop(data):
     holed = copy.copy(structure)
     holed.member = structure.member.copy()
     holed.member[hole] = False
-    keep = np.array([pair != hole for pair in pairs])
     shrunk = twist.TwistStructure(base, structure.nabla, structure.delta,
-                                  f[keep], s[keep])
+                                  structure.cell, holed.member.copy())
+    assert shrunk.pairs == [pair for pair in pairs if pair != hole]
     for broken in (holed, shrunk):
         member, carrier = broken.member, broken.pairs
         bf, bs = broken.firsts, broken.seconds
