@@ -79,31 +79,36 @@ def _formula_texts(texts):
     return texts
 
 
+# The builder of each structure type a file can name but "twist".
+_READERS = {"poset": poset_from_json, "heyting": heyting_from_json,
+            "tba": tba_from_json}
+
+
 def _twist_parts(data, base_dir):
-    """The base algebra, nabla and delta of a twist object; the base is
-    not yet checked."""
+    """The base algebra, nabla and delta of a twist object; the base, an
+    object or a file, must be a heyting or tba object and is not yet
+    checked."""
     base = data["base"]
     if isinstance(base, str):
         base = _load_json(os.path.join(base_dir, base))
-    algebra = _structure_from_data(base, base_dir)
-    if isinstance(algebra, FinitePoset):
-        raise ValueError("a twist base must be an algebra, not a poset")
-    return algebra, _elements(data, "nabla"), _elements(data, "delta")
+    kind = base.get("type") if isinstance(base, dict) \
+        else type(base).__name__
+    if kind not in ("heyting", "tba"):
+        raise ValueError(f"a twist base must be a heyting or tba object, "
+                         f"not {kind!r}")
+    return _READERS[kind](base), _elements(data, "nabla"), \
+        _elements(data, "delta")
 
 
 def _structure_from_data(data, base_dir="."):
     if not isinstance(data, dict):
         raise ValueError("a structure must be a JSON object")
     kind = data.get("type")
-    if kind == "poset":
-        return poset_from_json(data)
-    if kind == "heyting":
-        return heyting_from_json(data)
-    if kind == "tba":
-        return tba_from_json(data)
     if kind == "twist":
         algebra, nabla, delta = _twist_parts(data, base_dir)
         return tw(algebra.check(), nabla, delta)
+    if isinstance(kind, str) and kind in _READERS:
+        return _READERS[kind](data)
     raise ValueError(f"unknown structure type {kind!r}")
 
 

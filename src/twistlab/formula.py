@@ -288,9 +288,21 @@ def _parse_error(text, index, message):
                       at - text.rfind("\n", 0, at))
 
 
+_PARSE_MEMO_SIZE = 4096
+_parsed: dict = {}  # text -> its formula, oldest first
+
+
 def parse(text: str) -> Formula:
     """Parse concrete syntax (see the module docstring); sugar connectives
-    are kept in the AST."""
+    are kept in the AST.
+
+    The formulas of the last _PARSE_MEMO_SIZE (4,096) distinct texts that
+    parsed are kept, so a repeated text costs one lookup; when the memo is
+    full its oldest text is dropped, as ``re`` drops compiled patterns.  A
+    text that raises ParseError is never kept."""
+    phi = _parsed.get(text)
+    if phi is not None:
+        return phi
     tokens = _TOKEN.findall(text)
     tokens.append(_END)
     try:
@@ -299,6 +311,9 @@ def parse(text: str) -> Formula:
         raise _parse_error(text, *stuck.args) from None
     if tokens[i] is not _END:
         raise _parse_error(text, i, "trailing input")
+    if len(_parsed) >= _PARSE_MEMO_SIZE:
+        del _parsed[next(iter(_parsed))]
+    _parsed[text] = phi
     return phi
 
 

@@ -251,21 +251,26 @@ def _grid_vec(structure, grid, lo, hi):
     long as its domain.  The leading variables are their domains read at
     _columns over the prefixes, the trailing ones their whole domains
     along their own axes, so a value broadcast to the shape and flattened
-    in C order lists rows lo..hi-1 in order."""
+    in C order lists rows lo..hi-1 in order.  A grid of at most
+    _FIRST_CHUNK rows, as most queries' grids are, has no leading variable
+    and builds no columns."""
     widths = _widths(grid)
     t, block = _tail(widths)
     lead = len(widths) - t
     shape = ((hi - lo) // block, *widths[lead:])
-    cols = [c.reshape(-1, *(1,) * t) for c in _columns(
-        widths[:lead], np.arange(lo // block, hi // block, dtype=np.int64))]
-    assign = {}
+    cols = ()
+    if lead:
+        cols = [c.reshape(-1, *(1,) * t) for c in _columns(
+            widths[:lead],
+            np.arange(lo // block, hi // block, dtype=np.int64))]
+    assign = {}  # tuple() of a list costs less than of a generator
     for i, (name, domain) in enumerate(grid.items()):
         if i < lead:
-            assign[name] = tuple(part[cols[i]] for part in domain)
+            assign[name] = tuple([part[cols[i]] for part in domain])
         else:  # the whole domain, along the variable's own axis
             axis = [1] * (t + 1)
             axis[i - lead + 1] = -1
-            assign[name] = tuple(part.reshape(axis) for part in domain)
+            assign[name] = tuple([part.reshape(axis) for part in domain])
     return _Vec(structure, assign, shape)
 
 

@@ -119,7 +119,8 @@ class TwistStructure:
 
     def __contains__(self, pair):
         a, b = pair
-        return bool(self.member[a, b])
+        n = len(self.member)
+        return 0 <= a < n and 0 <= b < n and bool(self.member[a, b])
 
     def index(self, pair) -> int:
         """Position of a pair in the lexicographic carrier order."""

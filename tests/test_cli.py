@@ -338,8 +338,33 @@ def test_malformed_input_exit_codes(capsys, tmp_path, command, data, extra,
     assert code == want
     if want == 2:
         assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
     else:
         assert "violation: nabla is not a filter" in captured.out
+
+
+@pytest.mark.parametrize("base,kind", [
+    pytest.param(_TWIST_CHAIN3, "'twist'", id="twist"),
+    pytest.param("input.json", "'twist'", id="self"),
+    pytest.param(_POSET, "'poset'", id="poset"),
+    pytest.param({**_chain3_json(), "type": [1]}, "[1]", id="type-list"),
+    pytest.param([_chain3_json()], "'list'", id="list"),
+    pytest.param(5, "'int'", id="number"),
+])
+@pytest.mark.parametrize("command,extra", [
+    pytest.param("check", ["p -> p"], id="check"),
+    pytest.param("validate", [], id="validate")])
+def test_twist_base_type_is_named(capsys, tmp_path, base, kind, command,
+                                  extra):
+    """A twist base, given inline or as a file, even the twist's own file,
+    is read by its type first: anything but a heyting or tba object is an
+    input error that names the type it got, the JSON value's own type for
+    a base that is no object."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**_TWIST_CHAIN3, "base": base}))
+    assert cli.main([command, str(path), *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"error: a twist base must be a heyting or tba object, not {kind}\n")
 
 
 @pytest.mark.parametrize("text", [

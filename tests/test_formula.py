@@ -448,6 +448,41 @@ def test_parse_matches_reference_parser(text):
     assert got is want or got == want
 
 
+def _parse_outcome(text):
+    "parse's formula for a text, or its error's (message, line, column)."
+    try:
+        return fm.parse(text)
+    except fm.ParseError as err:
+        return str(err), err.line, err.column
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_TEXTS)
+def test_parse_memo_keeps_only_what_parses(text):
+    """A text that parses gives one object on every call, the one its memo
+    entry holds; one that does not raises the same error, message, line
+    and column, on every call and is never kept."""
+    first, second = _parse_outcome(text), _parse_outcome(text)
+    if isinstance(first, fm.Formula):
+        assert second is first and fm._parsed[text] is first
+    else:
+        assert second == first and text not in fm._parsed
+
+
+def test_parse_memo_drops_oldest_first(monkeypatch):
+    """After the bound plus k distinct texts the memo holds the bound: the
+    latest texts, the oldest k dropped.  A dropped text parses again to
+    the same interned formula."""
+    monkeypatch.setattr(fm, "_parsed", {})
+    k = 5
+    texts = [f"p{i} -> q" for i in range(fm._PARSE_MEMO_SIZE + k)]
+    formulas = [fm.parse(text) for text in texts]
+    assert list(fm._parsed) == texts[k:]
+    assert fm.parse(texts[0]) is formulas[0]
+    assert len(fm._parsed) == fm._PARSE_MEMO_SIZE
+    assert texts[k] not in fm._parsed and texts[0] in fm._parsed
+
+
 # ---------------------------------------------------------------------------
 # Formulas far deeper than the interpreter's recursion limit
 

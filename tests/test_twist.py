@@ -190,6 +190,18 @@ def test_membership_and_index(kleene_twist):
         kleene_twist.index((2, 2))
 
 
+def test_membership_outside_the_base(bool2):
+    """A pair with a component outside range(n), negative ones included,
+    is not in the carrier, so evaluate refuses it as not in the carrier
+    instead of reading a wrapped index."""
+    full = full_twist(bool2)
+    assert (1, 1) in full
+    for pair in ((-1, 0), (0, -1), (-2, -2), (2, 0), (0, 2)):
+        assert pair not in full
+    with pytest.raises(ValueError, match=r"pair \(-1, 0\) not in carrier"):
+        evaluate(full, Var("p"), {"p": (-1, 0)})
+
+
 # Bases of the closure-check oracle: every algebra from a poset of at most
 # 3 points with its (dense filter, ideal) pairs, and every TBA of a 2-point
 # poset with its (open filter, closed ideal) pairs.
