@@ -2,11 +2,13 @@
 
 Starting from a Heyting algebra A with a filter (containing the dense
 elements) and an ideal, build the Alexandrov realisation B of A, lift the
-filter and the ideal, and form the twist-structure over B.  Its open pairs
-recover the twist over A with the closed ideal, which is what makes the
-strong-negation translation faithful instance by instance.  The Kleene
-axiom material shows the one failure mode: an ideal whose closure changes
-the validity of the double-negated axiom.
+filter and the ideal, and form the twist-structure over B.  The lift is a
+map of cells, (f, d) to (iso f, dia iso d), where nabla = up(f) and delta
+= down(d); the sweep checks it against tba.rho_map and tba.sigma_map.
+Its open pairs recover the twist over A with the closed ideal, which is
+what makes the strong-negation translation faithful instance by instance.
+The Kleene axiom material shows the one failure mode: an ideal whose
+closure changes the validity of the double-negated axiom.
 
 Every instance of one algebra shares its realisation (tba.s_of, built
 once per algebra).  The sweep and the Kleene scan build and verify every
@@ -30,7 +32,7 @@ from .formula import Formula
 from .heyting import FiniteHeytingAlgebra, _closed_under, _mask, closure_n
 from .order import enumerate_posets, heyting_from_poset
 from .tba import FiniteTBA, open_elements, open_filters, powerset_tba, \
-    rho_map, satisfies_grz, sigma_map, s_of
+    satisfies_grz, s_of
 from .twist import TwistStructure, _closure_failure, _op_tables, \
     _pair_mask, tw
 
@@ -78,10 +80,11 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
                         delta) -> CompanionInstance:
     """Build and verify the pipeline instance for (algebra, nabla, delta).
 
-    Checks on the way: the realisation satisfies the Grzegorczyk axiom,
-    its opens coincide with the lambda set of the lifted filter, and the
-    open pairs of the lifted twist are exactly the twist over the original
-    algebra with the closed ideal.
+    The lift is the cell map, (f, dc) to (iso f, dia iso dc), and tw checks
+    the lifted sets.  Checks on the way: the realisation satisfies the
+    Grzegorczyk axiom, its opens coincide with the lambda set of the
+    lifted filter, and the open pairs of the lifted twist are exactly the
+    twist over the original algebra with the closed ideal.
     """
     nabla = frozenset(nabla)
     delta = frozenset(delta)
@@ -90,8 +93,11 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
     heyting_twist = tw(algebra, nabla, delta_closure)
 
     tba, iso = s_of(algebra)
-    nabla_hat = rho_map(tba, frozenset(iso[a] for a in nabla))
-    delta_hat = sigma_map(tba, frozenset(iso[a] for a in delta))
+    f, dc = heyting_twist.cell
+    # iso dc = box dia iso d and, for open x, dia box dia x = dia x: so
+    # down(dia iso dc) is sigma(iso delta), as up(iso f) is rho(iso nabla)
+    nabla_hat = tba.upset(iso[f])
+    delta_hat = tba.downset(tba.dia(iso[dc]))
     twist = tw(tba, nabla_hat, delta_hat)
 
     if not satisfies_grz(tba)[0]:
@@ -438,11 +444,14 @@ def _check_open_pair_lemmas(report, label, instance):
     report.bump("p322_checked")
 
 
-def _check_delta_rho(report, label, tba_alg):
-    """The two filter-lifting maps are mutually inverse order isomorphisms."""
+def _check_delta_rho(report, label, algebra):
+    """The two filter-lifting maps are mutually inverse order isomorphisms,
+    and rho and sigma are companion_structure's cell map: for every a,
+    rho(iso up(a)) = up(iso a) and sigma(iso down(a)) = down(dia iso a)."""
     from .heyting import filters as heyting_filters
-    from .tba import delta_map, open_algebra
+    from .tba import delta_map, open_algebra, rho_map, sigma_map
 
+    tba_alg, iso = s_of(algebra)
     g_alg, embed = open_algebra(tba_alg)
     ofs = open_filters(tba_alg)
     g_filters = [frozenset(embed[i] for i in f)
@@ -455,7 +464,13 @@ def _check_delta_rho(report, label, tba_alg):
     onto = images == set(g_filters) and len(ofs) == len(g_filters)
     mono = all((delta_map(tba_alg, F1) <= delta_map(tba_alg, F2))
                == (F1 <= F2) for F1 in ofs for F2 in ofs)
-    if not (round_one and round_two and onto and mono):
+    cells = all(
+        rho_map(tba_alg, frozenset(iso[b] for b in algebra.upset(a)))
+        == tba_alg.upset(iso[a])
+        and sigma_map(tba_alg, frozenset(iso[b] for b in algebra.downset(a)))
+        == tba_alg.downset(tba_alg.dia(iso[a]))
+        for a in range(algebra.n))
+    if not (round_one and round_two and onto and mono and cells):
         report.fail("delta_rho", label)
     report.bump("delta_rho_checked", len(ofs) + len(g_filters))
 
@@ -481,7 +496,7 @@ def _sweep_poset(poset, corpus, translated, sharp):
     if not satisfies_grz(tba_alg)[0]:
         report.fail("grz", label_base)
     report.bump("grz_checked")
-    _check_delta_rho(report, label_base, tba_alg)
+    _check_delta_rho(report, label_base, algebra)
 
     all_ideals = heyting_ideals(algebra)
     closed_set = {delta for delta in all_ideals

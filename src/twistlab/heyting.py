@@ -58,6 +58,12 @@ def _mask(n, elements) -> np.ndarray:
     return mask
 
 
+def _is_index(value) -> bool:
+    """Whether the value can name an element: an int or a numpy integer,
+    not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _least(algebra, nabla) -> int:
     """The meet of a finite filter: the element it is the up-set of."""
     return reduce(lambda x, y: int(algebra.meet[x, y]), nabla, algebra.top)
@@ -126,7 +132,7 @@ class FiniteHeytingAlgebra:
         self.meet = _table(meet, (n, n))
         self.join = _table(join, (n, n))
         self.imp = _table(imp, (n, n))
-        if not isinstance(bot, (int, np.integer)) or isinstance(bot, bool):
+        if not _is_index(bot):
             raise ValueError("bot must be an integer index")
         if not 0 <= bot < n:
             raise ValueError("bot index out of range")

@@ -17,7 +17,7 @@ from .order import FinitePoset, _bits, enumerate_posets, poset_to_json
 from .semantics import LanguageError, _columns, _grid_rows
 
 __all__ = [
-    "KripkeModel", "forces", "FrameResult", "frame_valid",
+    "KripkeModel", "FrameResult", "frame_valid",
     "frame_validity_profile", "grz_refutation_search", "lemma_323_formula",
     "lemma_323_premise_vacuous",
 ]
@@ -27,12 +27,6 @@ __all__ = [
 class KripkeModel:
     frame: FinitePoset
     valuation: dict  # var name -> frozenset of worlds
-
-    def world_mask(self, name) -> int:
-        mask = 0
-        for w in self.valuation.get(name, ()):
-            mask |= 1 << w
-        return mask
 
     def to_json(self):
         return {
@@ -55,30 +49,6 @@ def _modal_core(phi):
     if fm.language_of(psi) not in (LanguageTag.Li, LanguageTag.Lbox):
         raise LanguageError("Kripke semantics covers the box language only")
     return psi
-
-
-def forces(model: KripkeModel, world: int, phi: Formula) -> bool:
-    """Truth at one world, by the standard clauses."""
-    psi = _modal_core(phi)
-    frame = model.frame
-
-    def walk(f, x):
-        kind = f.kind
-        if kind == "var":
-            return bool(model.world_mask(f.name) >> x & 1)
-        if kind == "bot":
-            return False
-        if kind == "and":
-            return walk(f.args[0], x) and walk(f.args[1], x)
-        if kind == "or":
-            return walk(f.args[0], x) or walk(f.args[1], x)
-        if kind == "imp":
-            return (not walk(f.args[0], x)) or walk(f.args[1], x)
-        if kind == "box":
-            return all(walk(f.args[0], y) for y in _bits(frame.up[x]))
-        raise LanguageError(f"cannot interpret {kind!r} in a frame")
-
-    return walk(psi, world)
 
 
 class _FrameVec:

@@ -61,6 +61,7 @@ import numpy as np
 
 from . import formula as fm
 from .formula import Formula, LanguageTag
+from .heyting import _is_index
 from .tba import FiniteTBA
 from .twist import TwistStructure, _op_tables, full_twist
 
@@ -305,11 +306,10 @@ def evaluate(structure, phi: Formula, valuation: dict):
             if (a, b) not in structure:
                 raise ValueError(f"pair {value} not in carrier")
             assign[name] = (a, b)
+        elif _is_index(value) and 0 <= value < structure.n:
+            assign[name] = (int(value),)
         else:
-            value = int(value)
-            if not 0 <= value < structure.n:
-                raise ValueError(f"element {value} out of range")
-            assign[name] = (value,)
+            raise ValueError(f"element {value} out of range")
     ev = _Vec(structure, assign)
     if twist:
         return (int(ev.eval(psi, 0)), int(ev.eval(psi, 1)))

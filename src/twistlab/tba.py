@@ -272,7 +272,9 @@ def delta_map(algebra: FiniteTBA, nabla) -> frozenset:
 
 def rho_map(algebra: FiniteTBA, nabla_g) -> frozenset:
     """Lift a filter of the open algebra to the open filter of everything
-    whose interior it contains."""
+    whose interior it contains.  On the opens above an open g it is up(g):
+    the pipeline lifts by that value on generators, and this map is
+    criterion 4's oracle for it."""
     nabla_g = frozenset(nabla_g)
     if not _is_g_filter(algebra, nabla_g):
         raise ValueError("rho_map expects a filter of the open algebra")
@@ -283,7 +285,9 @@ def rho_map(algebra: FiniteTBA, nabla_g) -> frozenset:
 def sigma_map(algebra: FiniteTBA, delta) -> frozenset:
     """Least closed ideal containing delta: everything below the diamond of
     a member.  Accepts an ideal of the ambient algebra or of its open
-    algebra."""
+    algebra.  On the opens below an open g it is down(dia g): the pipeline
+    lifts by that value on generators, and this map is criterion 4's
+    oracle for it."""
     delta = frozenset(delta)
     if not (algebra.is_ideal(delta) or _is_g_ideal(algebra, delta)):
         raise ValueError("sigma_map expects an ideal")

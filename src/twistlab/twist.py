@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra, _greatest, _least, dense_filter
+from .heyting import FiniteHeytingAlgebra, _greatest, _is_index, _least, \
+    dense_filter
 from .tba import FiniteTBA, _is_closed_ideal_tba, _is_open_filter
 
 __all__ = [
@@ -120,15 +121,15 @@ class TwistStructure:
     def __contains__(self, pair):
         a, b = pair
         n = len(self.member)
-        return 0 <= a < n and 0 <= b < n and bool(self.member[a, b])
+        return (_is_index(a) and _is_index(b) and 0 <= a < n and 0 <= b < n
+                and bool(self.member[a, b]))
 
     def index(self, pair) -> int:
         """Position of a pair in the lexicographic carrier order."""
-        a, b = pair
-        hits = np.flatnonzero((self.firsts == a) & (self.seconds == b))
-        if not len(hits):
+        if pair not in self:
             raise ValueError(f"pair {pair} not in carrier")
-        return int(hits[0])
+        a, b = pair
+        return int(np.flatnonzero((self.firsts == a) & (self.seconds == b))[0])
 
     def __eq__(self, other):
         return (isinstance(other, TwistStructure)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twistlab import formula as fm
 from twistlab.formula import (And, Bot, Box, Dia, Iff, Imp, Neg, Or, SIff,
                               SNeg, Var)
-from twistlab import order, twist
+from twistlab import kripke, order, semantics, twist
 
 
 @pytest.fixture(scope="session")
@@ -390,6 +390,33 @@ def slow_is_valid(structure, phi):
         if not ok(slow_evaluate(structure, psi, valuation)):
             return False, valuation
     return True, None
+
+
+def slow_forces(model, world, phi):
+    """Reference Kripke truth at one world of a model, by the standard
+    clauses and plain recursion: classical at each world, box over the
+    up-set."""
+    psi = kripke._modal_core(phi)
+    frame, valuation = model.frame, model.valuation
+
+    def walk(f, x):
+        kind = f.kind
+        if kind == "var":
+            return x in valuation.get(f.name, ())
+        if kind == "bot":
+            return False
+        if kind == "and":
+            return walk(f.args[0], x) and walk(f.args[1], x)
+        if kind == "or":
+            return walk(f.args[0], x) or walk(f.args[1], x)
+        if kind == "imp":
+            return (not walk(f.args[0], x)) or walk(f.args[1], x)
+        if kind == "box":
+            return all(walk(f.args[0], y) for y in range(frame.n)
+                       if frame.leq(x, y))
+        raise semantics.LanguageError(f"cannot interpret {kind!r} in a frame")
+
+    return walk(psi, world)
 
 
 def slow_is_filter(algebra, subset, within=None):

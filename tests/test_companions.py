@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import random_posets
 from twistlab import companions, formula as fm
 from twistlab import heyting, openpairs, order, semantics, tba, twist
 from twistlab.companions import (companion_structure,
@@ -52,6 +54,82 @@ def test_companion_rejects_bad_inputs(chain2):
         with pytest.raises(ValueError, match=message):
             companion_structure(algebra, frozenset(nabla), frozenset(delta))
         assert "s_of" not in algebra._cache
+
+
+def _images(iso, elements):
+    return frozenset(iso[a] for a in elements)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(random_posets(max_n=5))
+def test_cell_map_is_rho_and_sigma_on_generators(poset):
+    """In the realisation of the up-set algebra of a random poset of at
+    most 5 points, for every element a, rho lifts the opens above iso a
+    to up(iso a) and sigma lifts the opens below it to down(dia iso a):
+    the cell map companion_structure lifts by."""
+    algebra = order.heyting_from_poset(poset)
+    realisation, iso = tba.s_of(algebra)
+    for a in range(algebra.n):
+        assert tba.rho_map(realisation, _images(iso, algebra.upset(a))) \
+            == realisation.upset(iso[a])
+        assert tba.sigma_map(realisation,
+                             _images(iso, algebra.downset(a))) \
+            == realisation.downset(realisation.dia(iso[a]))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(random_posets(max_n=5))
+def test_lifted_twist_is_rho_and_sigma(poset):
+    """For every instance (up(f), down(d)) over the up-set algebra of a
+    random poset of at most 5 points, the lifted twist's filter and ideal
+    are rho of the filter's image and sigma of the ideal's image, the sets
+    the set-level lift gives, and its cell is (iso f, dia iso d)."""
+    algebra = order.heyting_from_poset(poset)
+    dense = heyting.dense_filter(algebra)
+    for f in range(algebra.n):
+        nabla = algebra.upset(f)
+        if not dense <= nabla:
+            continue
+        for d in range(algebra.n):
+            delta = algebra.downset(d)
+            inst = companion_structure(algebra, nabla, delta)
+            realisation, iso = inst.tba, inst.iso
+            lifted = inst.twist
+            assert lifted.nabla == inst.nabla_hat == tba.rho_map(
+                realisation, _images(iso, nabla))
+            assert lifted.delta == inst.delta_hat == tba.sigma_map(
+                realisation, _images(iso, delta))
+            assert lifted.cell == (iso[f], realisation.dia(iso[d]))
+
+
+def _instance_triples(max_n):
+    """(algebra, dense filter, ideal) for every pipeline instance over the
+    classes of at most max_n points, over freshly built algebras."""
+    return [(algebra, nabla, delta)
+            for algebra in map(order.heyting_from_poset,
+                               order.enumerate_posets(max_n, dedup=True))
+            for nabla in heyting.filters(algebra, require_dense=True)
+            for delta in heyting.ideals(algebra)]
+
+
+def test_lift_needs_no_set_level_maps(monkeypatch):
+    """companion_structure lifts by the cell map alone: with rho_map and
+    sigma_map made to raise, wherever the pipeline could reach them, it
+    builds every instance of the classes of at most 3 points, and each
+    is the instance built with them in place."""
+    want = [companion_structure(*triple).to_json()
+            for triple in _instance_triples(3)]
+
+    def refuse(*args):
+        raise AssertionError("set-level lift called")
+
+    for module in (tba, companions):
+        for name in ("rho_map", "sigma_map"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    got = [companion_structure(*triple).to_json()
+           for triple in _instance_triples(3)]
+    assert len(got) == 152
+    assert got == want
 
 
 def test_companion_twtop_default_corpus(three):
@@ -378,14 +456,20 @@ def test_open_pairs_mismatch_is_reported(monkeypatch, three):
 
 def test_delta_rho_failure_is_reported(monkeypatch, chain2):
     """A broken lifting map is a recorded delta_rho failure that names the
-    poset, not an exception that ends the sweep: here delta_map sends
-    every open filter to {top}."""
-    monkeypatch.setattr(tba, "delta_map",
-                        lambda algebra, nabla: frozenset({algebra.top}))
-    report = pipeline_sweep(corpus=semantics.default_corpus(40),
-                            sharp_min=10, posets=[chain2])
-    assert report.to_json()["failures"] == {
-        "delta_rho": [f"poset2:{chain2.relation_mask()}"]}
+    poset, not an exception that ends the sweep, and no instance fails:
+    here delta_map sends every open filter to {top}, and then sigma_map
+    every ideal to {bot}, wherever the pipeline could reach it."""
+    for name, broken in (
+            ("delta_map", lambda algebra, nabla: frozenset({algebra.top})),
+            ("sigma_map", lambda algebra, delta: frozenset({algebra.bot}))):
+        with monkeypatch.context() as patch:
+            for module in (tba, companions):
+                patch.setattr(module, name, broken, raising=False)
+            report = pipeline_sweep(corpus=semantics.default_corpus(40),
+                                    sharp_min=10, posets=[chain2])
+        assert report.to_json()["failures"] == {
+            "delta_rho": [f"poset2:{chain2.relation_mask()}"]}, name
+        assert report.counts["instances_built"] == report.instances == 6
 
 
 def test_failed_instances_are_reported(monkeypatch, chain2):

@@ -44,6 +44,43 @@ def test_evaluate_checks_membership_and_binding(kleene_twist, three):
         evaluate(three, p, {"p": 9})
 
 
+# A value that names no element, and the error that evaluate raises for it
+_NON_INDICES = [
+    ("twist", (True, 0), r"^pair \(True, 0\) not in carrier$"),
+    ("twist", (1, False), r"^pair \(1, False\) not in carrier$"),
+    ("twist", (1.0, 0), r"^pair \(1.0, 0\) not in carrier$"),
+    ("twist", ("1", 0), r"^pair \('1', 0\) not in carrier$"),
+    ("twist", (1, np.float64(0)), r"^pair \(1, .*\) not in carrier$"),
+    ("algebra", 1.7, r"^element 1.7 out of range$"),
+    ("algebra", 1.0, r"^element 1.0 out of range$"),
+    ("algebra", "1", r"^element 1 out of range$"),
+    ("algebra", True, r"^element True out of range$"),
+    ("algebra", np.float32(1), r"^element 1.0 out of range$"),
+]
+
+
+@pytest.mark.parametrize("side, value, message", _NON_INDICES,
+                         ids=[f"{side}-{value!r}"
+                              for side, value, _ in _NON_INDICES])
+def test_evaluate_refuses_non_integer_values(side, value, message, three,
+                                             kleene_twist):
+    """A valuation names elements by int or numpy integer indices only:
+    a bool, a float or a string is refused with the carrier or range
+    error, never converted to the element it would round or parse to
+    (here (1, 0) and 1, both members), while numpy integers are taken.
+    A twist's membership test and carrier index refuse the same pairs."""
+    structure = kleene_twist if side == "twist" else three
+    with pytest.raises(ValueError, match=message):
+        evaluate(structure, p, {"p": value})
+    if side == "twist":
+        assert value not in structure
+        with pytest.raises(ValueError, match=message):
+            structure.index(value)
+    assert evaluate(kleene_twist, p, {"p": (np.int8(1), np.intp(0))}) \
+        == (1, 0)
+    assert evaluate(three, p, {"p": np.uint16(1)}) == 1
+
+
 def test_evaluate_language_checks(three, kleene_twist):
     with pytest.raises(LanguageError):
         evaluate(three, SNeg(p), {"p": 0})

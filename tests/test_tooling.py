@@ -9,9 +9,11 @@ import sys
 from pathlib import Path
 
 import twistlab
+from twistlab import companions, heyting, order, semantics
 
 PACKAGE = Path(twistlab.__file__).resolve().parent
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+REFERENCE = BENCHMARK.with_name("perfbench") / "reference.json"
 
 
 def test_no_bare_assert_in_package():
@@ -31,7 +33,6 @@ def test_no_bare_assert_in_package():
 # evaluators that still recurse over a formula.
 _ALLOWED_CYCLES = {
     frozenset({"semantics._Vec.eval", "semantics._Vec._compute"}),
-    frozenset({"kripke.forces.walk"}),
     frozenset({"kripke._FrameVec.eval", "kripke._FrameVec._compute"}),
 }
 
@@ -121,8 +122,8 @@ def test_no_recursion_in_formula_layer():
     module, over its functions, nested functions and methods, by the bare
     names and ``self.<name>`` each one uses, called or passed on, has no
     cycle but those of the two evaluators that still recurse over a
-    formula (``_Vec.eval``, ``forces``, ``_FrameVec``), and each of those
-    is still there."""
+    formula (``_Vec.eval``, ``_FrameVec``), and each of those is still
+    there."""
     cycles = _package_cycles({path.stem: path.read_text()
                               for path in sorted(PACKAGE.glob("*.py"))})
     assert sorted(map(sorted, cycles - _ALLOWED_CYCLES)) == []
@@ -212,6 +213,34 @@ def test_benchmark_functions_exist():
                if not callable(getattr(importlib.import_module(
                    f"twistlab.{module}"), function, None))]
     assert not missing, f"traced functions missing: {', '.join(missing)}"
+
+
+def test_benchmark_references_hold():
+    """The benchmark's ``sweep`` and ``build`` references, read from
+    ``perfbench/reference.json``, hold, so a change that would fail every
+    item of those workloads fails here first: the sweep over the classes
+    of at most 3 points, with the 1000-formula corpus, gives the
+    reference's instances and its whole counts dict, and every pipeline
+    instance over the classes of at most 4 points gives, per class, the
+    reference's [instances, closed-ideal twist pairs, lifted twist
+    pairs]."""
+    want = json.loads(REFERENCE.read_text())
+    report = companions.pipeline_sweep(
+        max_size=3, corpus=semantics.default_corpus(1000), sharp_min=50,
+        posets=list(order.enumerate_posets(3, dedup=True)))
+    assert report.ok
+    assert report.instances == want["sweep"]["instances"]
+    assert report.counts == want["sweep"]["counts"]
+    classes = []
+    for poset in order.enumerate_posets(4, dedup=True):
+        algebra = order.heyting_from_poset(poset)
+        built = [companions.companion_structure(algebra, nabla, delta)
+                 for nabla in heyting.filters(algebra, require_dense=True)
+                 for delta in heyting.ideals(algebra)]
+        classes.append([len(built),
+                        sum(inst.heyting_twist.size for inst in built),
+                        sum(inst.twist.size for inst in built)])
+    assert classes == want["build"]["classes"]
 
 
 def test_all_names_exist():
