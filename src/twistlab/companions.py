@@ -33,8 +33,8 @@ from .heyting import FiniteHeytingAlgebra, _closed_under, _mask, closure_n
 from .order import enumerate_posets, heyting_from_poset
 from .tba import FiniteTBA, open_elements, open_filters, powerset_tba, \
     satisfies_grz, s_of
-from .twist import TwistStructure, _closure_failure, _op_tables, \
-    _pair_mask, tw
+from .twist import TwistStructure, _cell_twist, _closure_failure, \
+    _op_tables, _pair_mask, tw
 
 __all__ = [
     "CompanionInstance", "companion_structure", "is_form_sharp",
@@ -80,11 +80,13 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
                         delta) -> CompanionInstance:
     """Build and verify the pipeline instance for (algebra, nabla, delta).
 
-    The lift is the cell map, (f, dc) to (iso f, dia iso dc), and tw checks
-    the lifted sets.  Checks on the way: the realisation satisfies the
-    Grzegorczyk axiom, its opens coincide with the lambda set of the
-    lifted filter, and the open pairs of the lifted twist are exactly the
-    twist over the original algebra with the closed ideal.
+    The lift is the cell map, (f, dc) to (iso f, dia iso dc), and the
+    realisation's twist is built from the lifted cell, which tw's cell step
+    checks to be open and diamond-fixed.  Checks on the way: the
+    realisation satisfies the Grzegorczyk axiom, its opens coincide with
+    the lambda set of the lifted filter, and the open pairs of the lifted
+    twist are exactly the twist over the original algebra with the closed
+    ideal.
     """
     nabla = frozenset(nabla)
     delta = frozenset(delta)
@@ -96,9 +98,8 @@ def companion_structure(algebra: FiniteHeytingAlgebra, nabla,
     f, dc = heyting_twist.cell
     # iso dc = box dia iso d and, for open x, dia box dia x = dia x: so
     # down(dia iso dc) is sigma(iso delta), as up(iso f) is rho(iso nabla)
-    nabla_hat = tba.upset(iso[f])
-    delta_hat = tba.downset(tba.dia(iso[dc]))
-    twist = tw(tba, nabla_hat, delta_hat)
+    twist = _cell_twist(tba, iso[f], tba.dia(iso[dc]))
+    nabla_hat, delta_hat = twist.nabla, twist.delta
 
     if not satisfies_grz(tba)[0]:
         raise AssertionError("realisation fails the Grzegorczyk axiom")

@@ -2,7 +2,9 @@
 
 Elements are opaque indices 0..n-1; ``bot`` is a stored index rather than a
 forced position so that files may order elements arbitrarily.  All derived
-structure (order, top, negation) is computed from the tables.
+structure (order, top, negation) is computed from the tables.  A filter
+or an ideal is tested and named by its generator, the element it is the
+up-set or down-set of (``_generator``).
 """
 
 from __future__ import annotations
@@ -64,16 +66,6 @@ def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _least(algebra, nabla) -> int:
-    """The meet of a finite filter: the element it is the up-set of."""
-    return reduce(lambda x, y: int(algebra.meet[x, y]), nabla, algebra.top)
-
-
-def _greatest(algebra, delta) -> int:
-    """The join of a finite ideal: the element it is the down-set of."""
-    return reduce(lambda x, y: int(algebra.join[x, y]), delta, algebra.bot)
-
-
 def _closure(mask, tables) -> np.ndarray:
     """Least superset of the boolean element mask closed under the binary
     tables."""
@@ -94,32 +86,23 @@ def _closed_under(mask, table) -> bool:
     return bool(mask[table[idx[:, None], idx]].all())
 
 
-def _is_closed_set(algebra, subset, ideal=False, within=None) -> bool:
-    """Whether the subset is a filter, or with ``ideal`` an ideal, of the
-    elements in the mask ``within`` (default all of them): non-empty,
-    inside ``within``, holding every element of ``within`` above (below) a
-    member, and closed under meet (join).  A set that passes is checked
-    once per algebra: it is kept, by (relation, within, subset), for at
-    most 4n sets, and a set that fails is never kept."""
-    subset = frozenset(subset)
-    key = (ideal, None if within is None else within.tobytes(), subset)
-    kept = algebra._cache.setdefault("closed_sets", set())
-    if key in kept:
-        return True
-    elements = range(algebra.n)
-    if not subset or not all(a in elements for a in subset):
-        return False
-    le, table = (algebra.le.T, algebra.join) if ideal else \
-        (algebra.le, algebra.meet)
-    mask = _mask(algebra.n, subset)
-    if within is None:
-        within = np.ones(algebra.n, dtype=bool)
-    if ((mask & ~within).any() or (le[mask].any(axis=0) & within & ~mask).any()
-            or not _closed_under(mask, table)):
-        return False
-    if len(kept) < 4 * algebra.n:
-        kept.add(key)
-    return True
+def _generator(algebra, subset, ideal=False, within=None):
+    """The element whose up-set, or with ``ideal`` down-set, is the subset,
+    or None when there is none.  In a finite lattice a filter (ideal) is
+    the up-set (down-set) of its meet (join), so this is at once the test
+    that a set is a filter or an ideal and the map to its generator.  With
+    ``within``, a boolean mask of elements closed under meet and join, the
+    up-set (down-set) is taken among those elements."""
+    subset, n = frozenset(subset), algebra.n
+    if not subset or not all(_is_index(a) and 0 <= a < n for a in subset):
+        return None
+    if within is not None and not within[list(subset)].all():
+        return None
+    table, le = (algebra.join, algebra.le.T) if ideal else \
+        (algebra.meet, algebra.le)
+    g = reduce(lambda x, y: table[x, y], subset)
+    bound = le[g] if within is None else le[g] & within
+    return int(g) if np.count_nonzero(bound) == len(subset) else None
 
 
 class FiniteHeytingAlgebra:
@@ -248,10 +231,10 @@ class FiniteHeytingAlgebra:
         return frozenset(np.flatnonzero(self.le[:, a]).tolist())
 
     def is_filter(self, subset) -> bool:
-        return _is_closed_set(self, subset)
+        return _generator(self, subset) is not None
 
     def is_ideal(self, subset) -> bool:
-        return _is_closed_set(self, subset, ideal=True)
+        return _generator(self, subset, ideal=True) is not None
 
     def join_irreducibles(self) -> list:
         """Elements a != bot such that a = b v c forces a in {b, c}."""
@@ -278,7 +261,7 @@ class FiniteHeytingAlgebra:
 
 
 def neg(algebra: FiniteHeytingAlgebra, a: int) -> int:
-    if not 0 <= a < algebra.n:
+    if not (_is_index(a) and 0 <= a < algebra.n):
         raise IndexError(f"element {a} out of range")
     return algebra.neg(a)
 

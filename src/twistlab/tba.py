@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra, _closure, _greatest, \
-    _is_closed_set, _least, _sized, _table, is_boolean
+from .heyting import FiniteHeytingAlgebra, _closure, _generator, _sized, \
+    _table, is_boolean
 from .order import FinitePoset, join_irreducible_poset
 
 __all__ = [
@@ -237,35 +237,12 @@ def closed_ideals(algebra: FiniteTBA) -> list:
             if int(dia_t[a]) == a]
 
 
-def _is_open_filter(algebra, subset):
-    """A filter whose generator f is open (f <= box f)."""
-    return (algebra.is_filter(subset)
-            and bool(algebra.open_mask()[_least(algebra, subset)]))
-
-
-def _is_closed_ideal_tba(algebra, subset):
-    """An ideal whose generator d is diamond-fixed (dia d <= d)."""
-    if not algebra.is_ideal(subset):
-        return False
-    d = _greatest(algebra, subset)
-    return int(algebra.dia_table[d]) == d
-
-
-def _is_g_filter(algebra, subset):
-    """Filter of the open algebra, given as ambient indices."""
-    return _is_closed_set(algebra, subset, within=algebra.open_mask())
-
-
-def _is_g_ideal(algebra, subset):
-    return _is_closed_set(algebra, subset, ideal=True,
-                          within=algebra.open_mask())
-
-
 def delta_map(algebra: FiniteTBA, nabla) -> frozenset:
     """Restrict an open filter to the open elements, giving a filter of the
     open algebra (ambient indices)."""
     nabla = frozenset(nabla)
-    if not _is_open_filter(algebra, nabla):
+    f = _generator(algebra, nabla)
+    if f is None or not algebra.open_mask()[f]:
         raise ValueError("delta_map expects an open filter")
     return nabla & open_elements(algebra)
 
@@ -276,7 +253,7 @@ def rho_map(algebra: FiniteTBA, nabla_g) -> frozenset:
     the pipeline lifts by that value on generators, and this map is
     criterion 4's oracle for it."""
     nabla_g = frozenset(nabla_g)
-    if not _is_g_filter(algebra, nabla_g):
+    if _generator(algebra, nabla_g, within=algebra.open_mask()) is None:
         raise ValueError("rho_map expects a filter of the open algebra")
     return frozenset(a for a in range(algebra.n)
                      if int(algebra.box[a]) in nabla_g)
@@ -289,11 +266,13 @@ def sigma_map(algebra: FiniteTBA, delta) -> frozenset:
     lifts by that value on generators, and this map is criterion 4's
     oracle for it."""
     delta = frozenset(delta)
-    if not (algebra.is_ideal(delta) or _is_g_ideal(algebra, delta)):
+    if all(_generator(algebra, delta, ideal=True, within=within) is None
+           for within in (None, algebra.open_mask())):
         raise ValueError("sigma_map expects an ideal")
     below = algebra.le[:, algebra.dia_table[list(delta)]].any(axis=1)
     out = frozenset(np.flatnonzero(below).tolist())
-    if not _is_closed_ideal_tba(algebra, out):
+    d = _generator(algebra, out, ideal=True)
+    if d is None or algebra.dia_table[d] != d:
         raise AssertionError("sigma_map image is not a closed ideal")
     return out
 

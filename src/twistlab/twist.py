@@ -4,16 +4,18 @@ The carrier of ``tw(C, nabla, delta)`` is every pair (a, b) with
 a v b in nabla and a ^ b in delta; operations act componentwise through the
 base tables, as ``_OPERATIONS`` lists them, with strong negation swapping
 the components.  The pair of sets (nabla, delta) is recoverable from the
-carrier and determines it.
+carrier and determines it.  Each set is tested and named by its generator
+(``heyting._generator``): nabla = up(f) and delta = down(d), and the cell
+(f, d) builds the carrier.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .heyting import FiniteHeytingAlgebra, _greatest, _is_index, _least, \
+from .heyting import FiniteHeytingAlgebra, _generator, _is_index, \
     dense_filter
-from .tba import FiniteTBA, _is_closed_ideal_tba, _is_open_filter
+from .tba import FiniteTBA
 
 __all__ = [
     "TwistStructure", "tw", "full_twist", "nabla_of", "delta_of",
@@ -155,24 +157,36 @@ def tw(base: FiniteHeytingAlgebra, nabla, delta) -> TwistStructure:
     """
     nabla = frozenset(nabla)
     delta = frozenset(delta)
+    return _cell_twist(base, _generator(base, nabla),
+                       _generator(base, delta, ideal=True), nabla, delta)
+
+
+def _cell_twist(base, f, d, nabla=None, delta=None) -> TwistStructure:
+    """The twist over base with cell (f, d), refused with tw's messages
+    unless up(f) and down(d) meet tw's conditions; None for f (d) stands
+    for a set that is not a filter (ideal).  ``nabla`` and ``delta``, when
+    the caller has them, are up(f) and down(d)."""
     if isinstance(base, FiniteTBA):
-        if not _is_open_filter(base, nabla):
+        if f is None or not base.open_mask()[f]:
             raise ValueError("nabla is not an open filter of the base")
-        if not _is_closed_ideal_tba(base, delta):
+        if d is None or base.dia_table[d] != d:
             raise ValueError("delta is not a closed ideal of the base")
     else:
-        if not base.is_filter(nabla):
+        if f is None:
             raise ValueError("nabla is not a filter of the base")
-        missing = dense_filter(base) - nabla
+        above = base.le[f]
+        missing = [a for a in dense_filter(base) if not above[a]]
         if missing:
             raise ValueError(
                 f"nabla lacks the dense element {min(missing)}")
-        if not base.is_ideal(delta):
+        if d is None:
             raise ValueError("delta is not an ideal of the base")
 
-    f, d = cell = _least(base, nabla), _greatest(base, delta)
+    cell = (f, d)
     member = base.le[f][base.join] & base.le[:, d][base.meet]
-    structure = TwistStructure(base, nabla, delta, cell, member)
+    structure = TwistStructure(
+        base, base.upset(f) if nabla is None else nabla,
+        base.downset(d) if delta is None else delta, cell, member)
     # the cells whose carriers passed, at most n**2, never one that failed
     verified = base._cache.setdefault("verified", set())
     if cell not in verified:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import numbers
 import os
 
 import pytest
@@ -422,7 +423,8 @@ def slow_forces(model, world, phi):
 def slow_is_filter(algebra, subset, within=None):
     """Plain-loop filter test: non-empty, upward closed, closed under meet.
     With ``within`` (elements closed under meet and join) a filter of the
-    lattice on those elements."""
+    lattice on those elements.  A member names an element only as an
+    integer that is not a bool."""
     return _slow_is_closed(algebra, subset, within, algebra.leq, algebra.meet)
 
 
@@ -435,7 +437,9 @@ def slow_is_ideal(algebra, subset, within=None):
 def _slow_is_closed(algebra, subset, within, leq, table):
     carrier = set(range(algebra.n) if within is None else within)
     subset = set(subset)
-    if not subset or not subset <= carrier:
+    if not subset or not subset <= carrier or any(
+            not isinstance(a, numbers.Integral) or isinstance(a, bool)
+            for a in subset):
         return False
     for a in subset:
         if any(leq(a, b) and b not in subset for b in carrier):

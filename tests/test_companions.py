@@ -390,10 +390,13 @@ def test_build_facts_cached_per_algebra(posets4_classes):
 def test_every_build_check_runs_once(monkeypatch):
     """Over every pipeline instance of the classes of at most 3 points,
     each distinct carrier (base, nabla, delta) of the three twists an
-    instance builds is verified exactly once, and every table that a
-    structure of the pipeline holds went through heyting._table exactly
-    once: the shared Boolean tables once per size (their memo starts empty
-    here), each interior and each subalgebra's tables once."""
+    instance builds is verified exactly once, five sets an instance are
+    tested to be a filter or an ideal (delta by closure_n, nabla and the
+    closed ideal by tw, the open pairs' two sets by the tw of
+    open_pairs_algebra), and every table that a structure of the
+    pipeline holds went through heyting._table exactly once: the shared
+    Boolean tables once per size (their memo starts empty here), each
+    interior and each subalgebra's tables once."""
     monkeypatch.setattr(tba, "_BOOLEANS", {})
     checked, rechecked = [], []
 
@@ -410,9 +413,17 @@ def test_every_build_check_runs_once(monkeypatch):
                          structure.delta))
         real(structure)
 
+    set_tests = []
+
+    def generator(*args, real=heyting._generator, **kwargs):
+        set_tests.append(args[1])
+        return real(*args, **kwargs)
+
     monkeypatch.setattr(heyting, "_table", table)
     monkeypatch.setattr(tba, "_table", table)
     monkeypatch.setattr(twist, "_verify", verify)
+    for module in (heyting, tba, twist):
+        monkeypatch.setattr(module, "_generator", generator)
     instances = [companion_structure(algebra, nabla, delta)
                  for algebra in map(order.heyting_from_poset,
                                     order.enumerate_posets(3, dedup=True))
@@ -423,6 +434,7 @@ def test_every_build_check_runs_once(monkeypatch):
                 for structure in (inst.twist, inst.heyting_twist,
                                   inst.open_pairs)}
     assert len(instances) == 152
+    assert len(set_tests) == 5 * len(instances)
     assert len(verified) == len(set(verified)) == len(carriers)
     assert set(verified) == carriers
     held = [getattr(algebra, name)

@@ -1,10 +1,13 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import slow_is_filter, slow_is_ideal
-from twistlab import heyting, order, tba
+from conftest import random_posets, slow_is_filter, slow_is_ideal
+from twistlab import heyting, order, tba, twist
 from twistlab.heyting import FiniteHeytingAlgebra
 
 
@@ -152,49 +155,89 @@ def test_bruteforce_scans_agree_on_warm_cache(small_algebras):
                 s for s in subsets if slow_is_ideal(algebra, s)}
 
 
-def test_closed_sets_checked_once_within_bound(bool4, monkeypatch):
-    """Over every element mask as ``within`` and every subset, filter and
-    ideal, _is_closed_set agrees with the plain-loop oracle on a first and
-    a second call, and keeps no more than 4n passing sets.  A filter is
-    checked for closure once; a non-filter is refused, and checked, on two
-    calls in a row."""
+def _extreme_member(algebra, subset, ideal):
+    "The member below (above) every member, as a plain loop finds it."
+    for g in subset:
+        if all(algebra.leq(a, g) if ideal else algebra.leq(g, a)
+               for a in subset):
+            return g
+    return None
+
+
+def test_generator_matches_oracles_on_bool4(bool4):
+    """Over every subset of the four-element Boolean algebra, with no mask
+    and with every element mask closed under meet and join as ``within``,
+    _generator finds a filter (ideal) exactly where the plain-loop oracle
+    does, and names it by its least (greatest) member."""
     n = bool4.n
     masks = [np.array([code >> i & 1 for i in range(n)], dtype=bool)
              for code in range(1 << n)]
-    algebra = FiniteHeytingAlgebra(bool4.meet, bool4.join, bool4.imp,
-                                   bot=bool4.bot)
-    for within in masks:
-        elements = frozenset(np.flatnonzero(within).tolist())
+    sublattices = [None] + [
+        mask for mask in masks
+        if heyting._closed_under(mask, bool4.meet)
+        and heyting._closed_under(mask, bool4.join)]
+    assert len(sublattices) == 14
+    for within in sublattices:
+        elements = None if within is None else \
+            frozenset(np.flatnonzero(within).tolist())
         for mask in masks:
             subset = frozenset(np.flatnonzero(mask).tolist())
-            for _ in range(2):
-                assert heyting._is_closed_set(
-                    algebra, subset, within=within) == \
-                    slow_is_filter(algebra, subset, elements)
-                assert heyting._is_closed_set(
-                    algebra, subset, ideal=True, within=within) == \
-                    slow_is_ideal(algebra, subset, elements)
-    assert len(algebra._cache["closed_sets"]) == 4 * n
+            for ideal, oracle in ((False, slow_is_filter),
+                                  (True, slow_is_ideal)):
+                g = heyting._generator(bool4, subset, ideal=ideal,
+                                       within=within)
+                assert (g is not None) == oracle(bool4, subset, elements)
+                if g is not None:
+                    assert g == _extreme_member(bool4, subset, ideal)
 
-    checks = []
-    closed_under = heyting._closed_under
 
-    def spy(mask, table):
-        checks.append(table)
-        return closed_under(mask, table)
+@st.composite
+def _algebra_and_subset(draw):
+    """The up-set algebra or the powerset TBA of a random poset of at most
+    5 points, the mask of its opens (None for the up-set algebra), and a
+    subset near an up-set or down-set of one element, in the algebra or
+    among the opens: a few of its elements dropped, a few elements added,
+    and now and then a member that names no element (out of range, a
+    bool, a float)."""
+    poset = draw(random_posets(max_n=5))
+    if draw(st.booleans()):
+        algebra, within = order.heyting_from_poset(poset), None
+    else:
+        algebra = tba.powerset_tba(poset)
+        within = algebra.open_mask()
+    n = algebra.n
+    g = draw(st.integers(0, n - 1))
+    inside = np.ones(n, dtype=bool) if within is None else within
+    near = draw(st.sampled_from([
+        algebra.upset(g), algebra.downset(g), frozenset(),
+        frozenset(np.flatnonzero(algebra.le[g] & inside).tolist()),
+        frozenset(np.flatnonzero(algebra.le[:, g] & inside).tolist())]))
+    members = set(near) - set(draw(st.lists(st.sampled_from(sorted(near)),
+                                            max_size=2))) if near else set()
+    members |= set(draw(st.lists(st.integers(0, n - 1), max_size=2)))
+    if draw(st.integers(0, 3)) == 0:
+        members.add(draw(st.sampled_from(
+            [-1, n, True, False, float(g), np.int64(n)])))
+    return algebra, within, frozenset(members)
 
-    monkeypatch.setattr(heyting, "_closed_under", spy)
-    fresh = FiniteHeytingAlgebra(bool4.meet, bool4.join, bool4.imp,
-                                 bot=bool4.bot)
-    top, atoms = fresh.top, [a for a in range(n) if a not in
-                             (fresh.bot, fresh.top)]
-    assert fresh.is_filter({atoms[0], top})
-    assert fresh.is_filter({atoms[0], top})
-    assert len(checks) == 1
-    up_not_meet = frozenset(atoms) | {top}  # up-closed, not meet-closed
-    assert not fresh.is_filter(up_not_meet)
-    assert not fresh.is_filter(up_not_meet)
-    assert len(checks) == 3
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_algebra_and_subset())
+def test_generator_matches_oracles_on_random_posets(case):
+    """On random subsets of the up-set algebras and the powerset TBAs of
+    random posets, members that name no element included, _generator
+    agrees with the plain-loop oracles, over the whole algebra and, for a
+    TBA, among its opens, and names a filter (ideal) by its least
+    (greatest) member."""
+    algebra, within, subset = case
+    for mask in [None] if within is None else [None, within]:
+        elements = None if mask is None else \
+            frozenset(np.flatnonzero(mask).tolist())
+        for ideal, oracle in ((False, slow_is_filter), (True, slow_is_ideal)):
+            g = heyting._generator(algebra, subset, ideal=ideal, within=mask)
+            assert (g is not None) == oracle(algebra, subset, elements)
+            if g is not None:
+                assert g == _extreme_member(algebra, subset, ideal)
 
 
 def test_closed_under_matches_closure_fixpoint(small_algebras):
@@ -210,6 +253,52 @@ def test_closed_under_matches_closure_fixpoint(small_algebras):
             for table in (algebra.meet, algebra.join, algebra.imp):
                 assert heyting._closed_under(mask, table) == \
                     np.array_equal(heyting._closure(mask, (table,)), mask)
+
+
+_NOT_AN_IDEAL = (ValueError, "delta is not an ideal of the algebra")
+_NOT_A_FILTER = (ValueError, "nabla is not a filter of the base")
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda a, t: a.is_filter({True, 2}), None),
+    (lambda a, t: a.is_filter({2.0}), None),
+    (lambda a, t: a.is_ideal({0, 1.0}), None),
+    (lambda a, t: heyting.closure_n(a, {True, 0}), _NOT_AN_IDEAL),
+    (lambda a, t: heyting.closure_n(a, {0.0}), _NOT_AN_IDEAL),
+    (lambda a, t: heyting.is_closed_ideal(a, {False}),
+     (ValueError, "is_closed_ideal expects an ideal")),
+    (lambda a, t: twist.tw(a, {2.0}, {0}), _NOT_A_FILTER),
+    (lambda a, t: twist.tw(a, {True, 2}, {0}), _NOT_A_FILTER),
+    (lambda a, t: twist.tw(a, {1, 2}, {False}),
+     (ValueError, "delta is not an ideal of the base")),
+    (lambda a, t: heyting.neg(a, True),
+     (IndexError, "element True out of range")),
+    (lambda a, t: heyting.neg(a, 1.0),
+     (IndexError, "element 1.0 out of range")),
+    (lambda a, t: tba.delta_map(t, {3.0}),
+     (ValueError, "delta_map expects an open filter")),
+    (lambda a, t: tba.rho_map(t, {2.0, 3}),
+     (ValueError, "rho_map expects a filter of the open algebra")),
+    (lambda a, t: tba.sigma_map(t, {0.0}),
+     (ValueError, "sigma_map expects an ideal")),
+], ids=["filter-bool", "filter-float", "ideal-float", "closure-bool",
+        "closure-float", "closed-ideal-bool", "tw-float", "tw-bool",
+        "tw-ideal-bool", "neg-bool", "neg-float", "delta-map-float",
+        "rho-map-float", "sigma-map-float"])
+def test_members_that_name_no_element_are_refused(chain2, call, refusal):
+    """A bool or a float in a set or as an element names no element of the
+    3-chain or of its powerset TBA, even when it equals one: the filter
+    and ideal tests answer False, and the functions that need a filter,
+    an ideal or an element raise their own error."""
+    algebra = order.heyting_from_poset(chain2)
+    powerset = tba.powerset_tba(chain2)
+    assert algebra.is_filter({1, 2}) and algebra.is_ideal({0, 1})
+    if refusal is None:
+        assert call(algebra, powerset) is False
+    else:
+        kind, message = refusal
+        with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+            call(algebra, powerset)
 
 
 def test_is_closed_ideal(three):

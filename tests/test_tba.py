@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import slow_is_filter, slow_is_ideal, slow_lambda_set
-from twistlab import heyting, openpairs, order, tba
+from twistlab import heyting, openpairs, order, tba, twist
 from twistlab.tba import FiniteTBA
 
 
@@ -191,11 +191,21 @@ def test_open_filters_closed_ideals_vs_bruteforce():
             brute_closed_ideals(algebra))
 
 
+def _accepts(function, *args):
+    "Whether the call returns rather than raising ValueError."
+    try:
+        function(*args)
+    except ValueError:
+        return False
+    return True
+
+
 def test_predicates_match_plain_definitions():
     """Every subset (and two leaving the carrier) of the up-set and powerset
     algebras of the posets with up to 3 points, and every open filter of
-    the powerset algebras, against the plain-loop definitions; open
-    filters and closed ideals of the powerset algebras among them."""
+    the powerset algebras, against the plain-loop definitions; filters and
+    ideals of the open algebras, and the open filters that delta_map and
+    the closed ideals that tw accept, among them."""
     for poset in order.enumerate_posets(3):
         alexandrov = tba.powerset_tba(poset)
         for algebra in (order.heyting_from_poset(poset), alexandrov):
@@ -208,16 +218,19 @@ def test_predicates_match_plain_definitions():
                     slow_is_filter(algebra, subset)
                 assert algebra.is_ideal(subset) == \
                     slow_is_ideal(algebra, subset)
-        opens = tba.open_elements(alexandrov)
+        opens, mask = tba.open_elements(alexandrov), alexandrov.open_mask()
         for subset in subsets:
-            assert tba._is_g_filter(alexandrov, subset) == \
-                slow_is_filter(alexandrov, subset, opens)
-            assert tba._is_g_ideal(alexandrov, subset) == \
+            assert (heyting._generator(alexandrov, subset, within=mask)
+                    is not None) == slow_is_filter(alexandrov, subset, opens)
+            assert (heyting._generator(alexandrov, subset, ideal=True,
+                                       within=mask) is not None) == \
                 slow_is_ideal(alexandrov, subset, opens)
             is_open_filter = slow_is_filter(alexandrov, subset) and all(
                 int(alexandrov.box[a]) in subset for a in subset)
-            assert tba._is_open_filter(alexandrov, subset) == is_open_filter
-            assert tba._is_closed_ideal_tba(alexandrov, subset) == (
+            assert _accepts(tba.delta_map, alexandrov, subset) == \
+                is_open_filter
+            assert _accepts(twist.tw, alexandrov, {alexandrov.top},
+                            subset) == (
                 slow_is_ideal(alexandrov, subset) and all(
                     int(alexandrov.dia_table[a]) in subset for a in subset))
             if is_open_filter:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_posets
-from twistlab import heyting, order, tba, twist
+from twistlab import companions, heyting, order, tba, twist
 from twistlab.companions import companion_structure
 from twistlab.formula import And, Bot, Box, Dia, Imp, Or, SNeg, Var
 from twistlab.semantics import evaluate
@@ -96,19 +96,48 @@ def test_tw_boolean_complements(bool2):
     assert set(structure.pairs) == {(0, 1), (1, 0)}
 
 
-def test_tw_precondition_errors(three, bool4):
-    with pytest.raises(ValueError, match="dense"):
-        tw(three, frozenset({2}), frozenset({0}))  # misses dense mid
-    with pytest.raises(ValueError, match="filter"):
-        tw(three, frozenset({1}), frozenset({0}))
-    with pytest.raises(ValueError, match="ideal"):
-        tw(three, frozenset({1, 2}), frozenset({1}))
-    algebra = tba.powerset_tba(
-        order.FinitePoset.from_pairs(2, [(0, 0), (1, 1), (0, 1)]))
-    with pytest.raises(ValueError, match="open filter"):
-        tw(algebra, frozenset({1, 3}), frozenset({0}))  # 1 is not open
-    with pytest.raises(ValueError, match="closed ideal"):
-        tw(algebra, frozenset({3}), frozenset({0, 2}))  # dia(2)=3 missing
+def test_tw_precondition_errors(three, chain2, monkeypatch):
+    """tw refuses a set that is not a filter or an ideal, a filter missing
+    a dense element, and over a TBA a filter that is not open or an ideal
+    that is not closed, each with its own message, naming nabla first when
+    both sets are bad.  The lift of companion_structure refuses a lifted
+    cell that is not open, or not diamond-fixed, with the same messages;
+    here the realisation is swapped for one over the same tables whose
+    box does not fix the lifted generator (a trivial interior) or whose
+    diamond does not fix the lifted ideal's generator (a box that is no
+    interior operator)."""
+    powerset = tba.powerset_tba(chain2)   # open: 0, 2 and 3; not 1
+    cases = [
+        (three, {1}, {0}, "nabla is not a filter of the base"),
+        (three, {1}, {1}, "nabla is not a filter of the base"),
+        (three, {2}, {0}, "nabla lacks the dense element 1"),
+        (three, {2}, {1}, "nabla lacks the dense element 1"),
+        (three, {1, 2}, {1}, "delta is not an ideal of the base"),
+        (powerset, {1}, {0}, "nabla is not an open filter of the base"),
+        (powerset, {1, 3}, {0}, "nabla is not an open filter of the base"),
+        (powerset, {1, 3}, {2}, "nabla is not an open filter of the base"),
+        (powerset, {3}, {2}, "delta is not a closed ideal of the base"),
+        (powerset, {3}, {0, 2}, "delta is not a closed ideal of the base"),
+    ]
+    for base, nabla, delta, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tw(base, frozenset(nabla), frozenset(delta))
+
+    algebra = order.heyting_from_poset(chain2)
+    real, iso = tba.s_of(algebra)
+    x = iso[1]     # the lift of the filter {1, 2}: up(x), with x open
+    y = next(a for a in range(real.n) if a not in (real.bot, real.top, x))
+    trivial = [real.top if a == real.top else real.bot for a in range(4)]
+    # dia bot = -box top = -y = x, and dia x = -box y = top: not fixed
+    skewed = [{real.bot: real.bot, x: x, y: real.bot, real.top: y}[a]
+              for a in range(4)]
+    for box, message in ((trivial, "nabla is not an open filter of the base"),
+                         (skewed, "delta is not a closed ideal of the base")):
+        swapped = tba.FiniteTBA._over(real, box)
+        monkeypatch.setattr(companions, "s_of",
+                            lambda _, swapped=swapped: (swapped, iso))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            companion_structure(algebra, frozenset({1, 2}), frozenset({0}))
 
 
 def test_operation_tables(kleene_twist):
@@ -345,8 +374,8 @@ def test_each_carrier_verified_once_per_base(monkeypatch, posets4_classes):
     built as the sweep builds it (the pipeline instance, then the twist at
     the instance's own ideal, which over this Boolean algebra repeats the
     closed-ideal twist), _verify runs exactly once per distinct (base,
-    nabla, delta); the verified carriers and the checked filters and
-    ideals of each base stay within their bounds."""
+    nabla, delta); the verified carriers of each base stay within their
+    bound."""
     verified = []
     verify = twist._verify
 
@@ -371,5 +400,4 @@ def test_each_carrier_verified_once_per_base(monkeypatch, posets4_classes):
     assert sorted(verified, key=repr) == sorted(distinct, key=repr)
     for base in {id(one.base): one.base for one in built}.values():
         assert len(base._cache["verified"]) <= base.n ** 2
-        assert len(base._cache["closed_sets"]) <= 4 * base.n
 
